@@ -365,7 +365,6 @@ def build_parser():
         cmd.add_argument("--steps", type=int, default=None)
         cmd.add_argument("--picard", type=int, default=None)
         cmd.add_argument("--tol", type=float, default=None)
-        cmd.add_argument("--threads", type=int, default=None)
         cmd.add_argument("--out", default=None)
         if name == "check-constants":
             cmd.add_argument("--beta-grid", dest="beta_grid", default=None)
@@ -376,21 +375,9 @@ def build_parser():
     return parser
 
 
-def _limit_threads(n):
-    if n is None:
-        return
-    try:
-        from threadpoolctl import threadpool_limits
-
-        threadpool_limits(limits=n)
-    except ImportError:
-        pass
-
-
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
-    _limit_threads(getattr(args, "threads", None))
     try:
         return _COMMANDS[args.command](args)
     except ConfigError as exc:

@@ -8,6 +8,7 @@ schema rejects unknown keys before any computation runs.
 from __future__ import annotations
 
 import json
+import math
 
 import numpy as np
 from jsonschema import Draft7Validator
@@ -160,7 +161,19 @@ _PRESET_PARAM_KEYS = ("mu", "nu", "rate", "vol", "coeff", "const",
                       "offset", "slope", "value")
 
 
+def _check_finite(node, where):
+    """Reject the NaN and infinities that ``json.load`` accepts."""
+    if isinstance(node, float) and not math.isfinite(node):
+        raise ConfigError(f"config invalid at {where or '<root>'}: {node} is not a finite number")
+    if isinstance(node, list):
+        node = dict(enumerate(node))
+    if isinstance(node, dict):
+        for key, value in node.items():
+            _check_finite(value, f"{where}/{key}" if where else str(key))
+
+
 def validate_config(cfg):
+    _check_finite(cfg, "")
     errors = sorted(_VALIDATOR.iter_errors(cfg), key=lambda e: list(e.absolute_path))
     if errors:
         err = errors[0]

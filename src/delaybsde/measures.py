@@ -115,10 +115,10 @@ class DelayMeasure:
             return self.total_mass()
         mass = sum(w * np.exp(-beta * loc) for loc, w in self.atoms)
         for a, b, level in self.density_pieces:
-            # (exp(-beta a) - exp(-beta b)) / beta, written to stay finite as
-            # beta * (b - a) underflows
+            # (exp(-beta a) - exp(-beta b)) / beta, written as
+            # (b - a) * expm1(x) / x so that a subnormal x loses no digits
             x = beta * (b - a)
-            slab = np.expm1(x) / beta if x > 0.0 else b - a
+            slab = (b - a) * (np.expm1(x) / x) if x > 0.0 else b - a
             mass += level * np.exp(-beta * b) * slab
         return float(mass)
 
@@ -203,11 +203,24 @@ class GridPath:
         return int(idx)
 
 
-def _row_weights(measure, grid, i):
-    n = len(grid) - 1
-    return np.array(
-        [measure.interval_mass(grid[j] - grid[i], grid[j + 1] - grid[i]) for j in range(n)]
-    )
+def _cell_masses(measure, lo, hi):
+    """``measure.interval_mass`` applied elementwise over arrays of cell bounds.
+
+    Same half-open atom rule and the same order of additions (atoms, then
+    density pieces) as the scalar method, so every entry is bit-identical.
+    """
+    mass = np.zeros(np.broadcast(lo, hi).shape)
+    for loc, w in measure.atoms:
+        mass += np.where((lo - _SNAP <= loc) & (loc < hi - _SNAP), w, 0.0)
+    for pa, pb, level in measure.density_pieces:
+        mass += level * np.maximum(0.0, np.minimum(pb, hi) - np.maximum(pa, lo))
+    return mass
+
+
+def _row_weights(measure, grid, rows):
+    """Rows ``rows`` (an index or a slice) of the cell-weight matrix."""
+    t = grid[rows][..., None]
+    return _cell_masses(measure, grid[:-1] - t, grid[1:] - t)
 
 
 def cell_weights(measure, grid):
@@ -227,7 +240,7 @@ def cell_weights(measure, grid):
                 stacklevel=2,
             )
             break
-    return np.stack([_row_weights(measure, grid, i) for i in range(len(grid))])
+    return _row_weights(measure, grid, slice(None))
 
 
 def delayed_convolution(measure, path, t, power=1):

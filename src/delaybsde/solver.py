@@ -30,12 +30,13 @@ Z_t = grad_Y_t (grad_X_t)^{-1} sigma(t, X_t).
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import lru_cache
 
 import numpy as np
 
 from .constants import StructuralParams, constants_report
 from .forward import simulate_forward
-from .measures import DelayMeasure, cell_weights
+from .measures import DelayMeasure, _row_weights, cell_weights
 from .regression import BasisSpec, DesignSolver, expand_features
 
 __all__ = [
@@ -128,10 +129,22 @@ def _convolve_nodes(weights, values):
     weights: (N+1, N) cell weights; values: (M, N+1, ...).  Returns
     (M, N+1, ...) where entry i sums weights[i, j] * values[:, j].
     """
-    n = weights.shape[1]
-    flat = values[:, :n].reshape(values.shape[0], n, -1)
-    out = np.einsum("ij,pjk->pik", weights, flat)
-    return out.reshape(values.shape[0], weights.shape[0], *values.shape[2:])
+    if not weights.any():
+        return np.zeros((values.shape[0], weights.shape[0], *values.shape[2:]))
+    out = np.tensordot(weights, values[:, : weights.shape[1]], axes=(1, 1))
+    return np.moveaxis(out, 0, 1)
+
+
+@lru_cache(maxsize=16)
+def _cached_weights(measure, grid_bytes):
+    """Cell weights of a (frozen measure, grid bytes) pair, built once.
+
+    The weights are a pure function of the key and are returned read-only,
+    so every solve on the same grid can share them.
+    """
+    weights = cell_weights(measure, np.frombuffer(grid_bytes))
+    weights.flags.writeable = False
+    return weights
 
 
 def discrete_theta(i, forward, y, z, alpha_x, alpha_y, alpha_z):
@@ -141,9 +154,7 @@ def discrete_theta(i, forward, y, z, alpha_x, alpha_y, alpha_z):
     cell lies before time 0 contribute zero (zero extension of all paths).
     """
     grid = forward.grid
-    wx = cell_weights(alpha_x, grid)[i]
-    wy = cell_weights(alpha_y, grid)[i]
-    wz = cell_weights(alpha_z, grid)[i]
+    wx, wy, wz = (_row_weights(m, grid, i) for m in (alpha_x, alpha_y, alpha_z))
     n = len(wx)
     xdel = np.tensordot(wx, forward.x[:, :n], axes=(0, 1))
     ydel = np.tensordot(wy, y[:, :n], axes=(0, 1))
@@ -204,6 +215,17 @@ class _FeatureBuilder:
                     else:
                         cols.append(self.forward.x[:, j])
         return np.concatenate(cols, axis=1)
+
+
+def _solve_setup(problem, forward, basis):
+    """Cell weights, delayed forward state and feature builder of one solve."""
+    grid_bytes = np.asarray(forward.grid, dtype=float).tobytes()
+    wx, wy, wz = (_cached_weights(m, grid_bytes)
+                  for m in (problem.alpha_x, problem.alpha_y, problem.alpha_z))
+    xdel_all = _convolve_nodes(wx, forward.x)
+    builder = _FeatureBuilder(basis, forward, xdel_all,
+                              problem.alpha_x, problem.alpha_y, problem.alpha_z)
+    return wx, wy, wz, xdel_all, builder
 
 
 def _run_sweeps(grid, dw, terminal_vals, dim_ctrl, conv, driver_all, features_at, basis,
@@ -274,10 +296,7 @@ def picard_solve(problem, forward, basis=None, max_sweeps=8, tol=1e-3):
     """
     basis = basis or BasisSpec()
     grid = forward.grid
-    wx = cell_weights(problem.alpha_x, grid)
-    wy = cell_weights(problem.alpha_y, grid)
-    wz = cell_weights(problem.alpha_z, grid)
-    xdel_all = _convolve_nodes(wx, forward.x)
+    _, wy, wz, xdel_all, builder = _solve_setup(problem, forward, basis)
     terminal_vals = problem.terminal.value(forward.x[:, -1])
     driver = problem.driver
     n = len(grid) - 1
@@ -291,8 +310,6 @@ def picard_solve(problem, forward, basis=None, max_sweeps=8, tol=1e-3):
             out[:, j] = driver.value(grid[j], xdel_all[:, j], ydel_all[:, j], zdel_all[:, j])
         return out
 
-    builder = _FeatureBuilder(basis, forward, xdel_all,
-                              problem.alpha_x, problem.alpha_y, problem.alpha_z)
     y, z, diffs_y, diffs_z, sweeps = _run_sweeps(
         grid, forward.dw, terminal_vals, problem.dim_x, conv, driver_all,
         builder.at, basis, max_sweeps, tol,
@@ -322,10 +339,7 @@ def variational_solve(problem, forward, base, h, basis=None, max_sweeps=8, tol=1
     h = np.asarray(h, dtype=float)
     grid = forward.grid
     n = len(grid) - 1
-    wx = cell_weights(problem.alpha_x, grid)
-    wy = cell_weights(problem.alpha_y, grid)
-    wz = cell_weights(problem.alpha_z, grid)
-    xdel_all = _convolve_nodes(wx, forward.x)
+    wx, wy, wz, xdel_all, builder = _solve_setup(problem, forward, basis)
     ydel_base = _convolve_nodes(wy, base.y)
     zdel_base = _convolve_nodes(wz, base.z)
     grad_x_h = np.einsum("pijk,k->pij", forward.grad_x, h)
@@ -354,8 +368,6 @@ def variational_solve(problem, forward, base, h, basis=None, max_sweeps=8, tol=1
         out += np.einsum("pjmkd,pjkd->pjm", grad_z_all, qdel_all)
         return out
 
-    builder = _FeatureBuilder(basis, forward, xdel_all,
-                              problem.alpha_x, problem.alpha_y, problem.alpha_z)
     p, q, diffs_p, diffs_q, sweeps = _run_sweeps(
         grid, forward.dw, terminal_vals, problem.dim_x, conv, driver_all,
         builder.at, basis, max_sweeps, tol,

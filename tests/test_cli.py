@@ -83,6 +83,28 @@ class TestCliCommands:
         assert code == 2
         assert "preset" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("section, key, where", [
+        (None, "horizon", "horizon"),
+        ("forward", "x0", "forward/x0/0"),
+    ])
+    def test_non_finite_number_exits_2(self, tmp_path, capsys, section, key, where):
+        cfg = base_config()
+        if section is None:
+            cfg[key] = float("nan")
+        else:
+            cfg[section][key] = [float("inf")]
+        path = write_config(tmp_path, cfg)  # json.dumps writes NaN / Infinity
+        code = main(["solve", "--config", path, "--out", str(tmp_path / "out")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert where in err and "not a finite number" in err
+
+    def test_threads_flag_refused(self, tmp_path):
+        path = write_config(tmp_path, base_config())
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", "--config", path, "--out", str(tmp_path / "out"), "--threads", "2"])
+        assert exc.value.code == 2
+
     def test_numerical_failure_exits_1(self, tmp_path, capsys):
         cfg = base_config()
         cfg["study"] = {"separations": [0.5 / 7, 0.5 / 5, 0.5 / 3]}

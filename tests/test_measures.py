@@ -1,9 +1,17 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from delaybsde.measures import DelayMeasure, GridPath, cell_weights, delayed_convolution
+from delaybsde.measures import (
+    DelayMeasure,
+    GridPath,
+    _row_weights,
+    cell_weights,
+    delayed_convolution,
+)
 
 
 def unit_atom(loc, T=1.0):
@@ -40,6 +48,13 @@ class TestMassOps:
         m = DelayMeasure(1.0, atoms=((-0.2, 0.5),), density_pieces=((-0.8, -0.4, 1.0),))
         lo, hi = sorted([beta1, beta2])
         assert m.exp_weighted_mass(lo) <= m.exp_weighted_mass(hi) + 1e-12
+
+
+    def test_exp_weighted_subnormal_beta_matches_beta_zero(self):
+        # beta * (b - a) is subnormal here; the density slab must not lose digits
+        m = DelayMeasure(1.0, atoms=((-0.2, 0.5),), density_pieces=((-0.8, -0.4, 1.0),))
+        at_zero = m.exp_weighted_mass(0.0)
+        assert at_zero <= m.exp_weighted_mass(2.2e-313) <= at_zero * (1.0 + 1e-15)
 
 
 class TestIntervalMass:
@@ -86,6 +101,44 @@ class TestInterchangeWeight:
         m = DelayMeasure(1.0, density_pieces=((-0.8, -0.2, 1.0),))
         # window (r-T, r-t] = (-0.5, 0.3] -> overlap with [-0.8, -0.2) below 0
         assert m.interchange_weight(0.5, 0.1) == pytest.approx(0.3)
+
+
+def scalar_cell_weights(measure, grid):
+    """Reference: one scalar interval_mass call per cell."""
+    n = len(grid) - 1
+    return np.array([
+        [measure.interval_mass(grid[j] - grid[i], grid[j + 1] - grid[i]) for j in range(n)]
+        for i in range(n + 1)
+    ])
+
+
+class TestCellWeights:
+    @pytest.mark.parametrize("measure, grid", [
+        pytest.param(DelayMeasure(1.0, atoms=((-0.25, 0.7), (-0.5, 0.3), (-0.125, 1.1))),
+                     np.linspace(0.0, 1.0, 17), id="atoms-on-cell-boundaries"),
+        pytest.param(DelayMeasure(1.0, atoms=((-0.01, 1.0), (-0.4, 0.5))),
+                     np.linspace(0.0, 1.0, 11), id="sub-step-atom"),
+        pytest.param(DelayMeasure(1.0, density_pieces=((-0.7, -0.3, 1.5), (-0.3, -0.1, 0.4))),
+                     np.linspace(0.0, 1.0, 21), id="density-pieces-meeting"),
+        pytest.param(DelayMeasure(1.0), np.linspace(0.0, 1.0, 9), id="zero-measure"),
+        pytest.param(DelayMeasure(1.0, atoms=((-0.3, 0.6),),
+                                  density_pieces=((-0.9, -0.45, 1.0), (-0.2, -0.05, 2.0))),
+                     np.concatenate([[0.0], np.cumsum(np.random.default_rng(3).uniform(
+                         0.01, 0.1, 24))]), id="non-uniform-grid"),
+    ])
+    def test_equal_to_scalar_loop(self, measure, grid):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            weights = cell_weights(measure, grid)
+        assert weights.shape == (len(grid), len(grid) - 1)
+        assert np.array_equal(weights, scalar_cell_weights(measure, grid))
+
+    def test_single_row_equals_matrix_row(self):
+        m = DelayMeasure(1.0, atoms=((-0.25, 0.4),), density_pieces=((-0.7, -0.3, 1.1),))
+        grid = np.linspace(0.0, 1.0, 33)
+        full = cell_weights(m, grid)
+        for i in (0, 9, 32):
+            assert np.array_equal(_row_weights(m, grid, i), full[i])
 
 
 class TestGridPath:

@@ -5,8 +5,10 @@ from delaybsde.forward import make_forward, simulate_forward
 from delaybsde.generators import make_driver, make_terminal
 from delaybsde.measures import DelayMeasure, cell_weights
 from delaybsde.regression import BasisSpec
+from delaybsde import solver as solver_module
 from delaybsde.solver import (
     DelayFbsdeProblem,
+    _convolve_nodes,
     discrete_theta,
     fd_directional_check,
     picard_solve,
@@ -89,6 +91,62 @@ class TestDiscreteTheta:
         for i in range(1, n + 1):
             expected[i, i - 1] = 1.0
         assert np.array_equal(weights, expected)
+
+
+class TestNodeConvolution:
+    def test_matches_dense_einsum(self):
+        rng = np.random.default_rng(11)
+        grid = np.linspace(0.0, T, 25)
+        weights = cell_weights(
+            DelayMeasure(T, atoms=((-0.125, 0.6),), density_pieces=((-0.4, -0.2, 1.3),)), grid
+        )
+        for shape in ((30, 25, 1), (30, 25, 2, 3)):
+            values = rng.normal(size=shape)
+            flat = values[:, :24].reshape(30, 24, -1)
+            dense = np.einsum("ij,pjk->pik", weights, flat).reshape(30, 25, *shape[2:])
+            out = _convolve_nodes(weights, values)
+            assert out.shape == shape
+            assert np.max(np.abs(out - dense)) <= 1e-13
+
+    def test_zero_weights_give_exact_zeros(self):
+        values = np.random.default_rng(2).normal(size=(7, 11, 1, 2))
+        out = _convolve_nodes(np.zeros((11, 10)), values)
+        assert out.shape == values.shape
+        assert not out.any()
+
+    def test_discrete_theta_is_a_row_of_the_full_convolutions(self):
+        alpha_y = DelayMeasure(T, atoms=((-0.1, 0.5),), density_pieces=((-0.4, -0.15, 1.0),))
+        alpha_z = lag_atom(-0.125)
+        prob = problem(make_driver("linear_ydel", {"coeff": 0.2, "lipschitz": 0.2}),
+                       make_terminal("identity"), alpha_x=lag_atom(-0.25),
+                       alpha_y=alpha_y, alpha_z=alpha_z)
+        fwd, sol = solve(prob, n_steps=16, n_paths=200, sweeps=2)
+        grid = fwd.grid
+        full = [_convolve_nodes(cell_weights(m, grid), v) for m, v in
+                ((prob.alpha_x, fwd.x), (alpha_y, sol.y), (alpha_z, sol.z))]
+        for i in (0, 5, 16):
+            rows = discrete_theta(i, fwd, sol.y, sol.z, prob.alpha_x, alpha_y, alpha_z)
+            for row, conv in zip(rows, full):
+                assert np.allclose(row, conv[:, i], rtol=0.0, atol=1e-13)
+
+    def test_weights_built_once_per_measure_and_grid(self, monkeypatch):
+        calls = []
+
+        def counting(measure, grid):
+            calls.append(measure)
+            return cell_weights(measure, grid)
+
+        monkeypatch.setattr(solver_module, "cell_weights", counting)
+        solver_module._cached_weights.cache_clear()
+        prob = problem(make_driver("linear_zdel", {"coeff": 0.1, "lipschitz": 0.1}),
+                       make_terminal("identity"), alpha_z=lag_atom())
+        fwd, sol = solve(prob, n_steps=8, n_paths=300, sweeps=2)
+        variational_solve(prob, fwd, sol, np.ones(1), BasisSpec(), 2, 1e-4)
+        # the zero alpha_x and alpha_y are equal measures: one build covers both
+        assert sorted(m.total_mass() for m in calls) == [0.0, 1.0]
+        weights = solver_module._cached_weights(prob.alpha_z, fwd.grid.tobytes())
+        assert not weights.flags.writeable
+        solver_module._cached_weights.cache_clear()
 
 
 class TestPicardSolve:
