@@ -24,13 +24,14 @@ import argparse
 import hashlib
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .config import ConfigError, build_problem, load_config, solver_settings
-from .constants import constants_report, search_feasible
+from .config import ConfigError, build_problem, load_config, solver_settings, validate_grid
+from .constants import constants_report, fold_best
 from .regularity import apriori_scaling, l2_regularity, y_increment_rate
 from .solver import (
     fd_directional_check,
@@ -82,12 +83,17 @@ def _grid_from(spec_triplet, fallback):
     return np.linspace(float(lo), float(hi), int(n))
 
 
-def _parse_grid_flag(text):
+def _parse_grid_flag(args, key):
+    text = getattr(args, key)
+    if text is None:
+        return None
     try:
         lo, hi, n = text.split(":")
-        return [float(lo), float(hi), int(n)]
+        spec = [float(lo), float(hi), int(n)]
     except ValueError as exc:
         raise ConfigError(f"grid flag must look like lo:hi:n, got {text!r}") from exc
+    validate_grid(key, spec, f"--{key.replace('_', '-')} {text}")
+    return spec
 
 
 def _prepare(args, command):
@@ -98,30 +104,35 @@ def _prepare(args, command):
     return cfg, out_dir
 
 
-def _solve_from_config(cfg, args):
-    problem = build_problem(cfg)
-    settings = solver_settings(cfg, vars(args))
+def _setup(cfg, args):
     seed = args.seed if args.seed is not None else int(cfg.get("seed", 0))
-    grid = np.linspace(0.0, problem.horizon, settings["steps"] + 1)
-    forward = simulate_forward(problem.forward, problem.x0, grid, settings["paths"], seed)
+    return build_problem(cfg), solver_settings(cfg, vars(args)), seed
+
+
+def _simulate(problem, settings, seed, steps):
+    grid = np.linspace(0.0, problem.horizon, steps + 1)
+    return simulate_forward(problem.forward, problem.x0, grid, settings["paths"], seed)
+
+
+def _solve_from_config(cfg, args, steps=None):
+    problem, settings, seed = _setup(cfg, args)
+    forward = _simulate(problem, settings, seed, steps or settings["steps"])
     solution = picard_solve(problem, forward, settings["basis"],
                             settings["picard"], settings["tol"])
     return problem, settings, forward, solution
 
 
 def cmd_check_constants(args):
+    beta_spec = _parse_grid_flag(args, "beta_grid")
+    gamma_spec = _parse_grid_flag(args, "gamma_grid")
     cfg, out_dir = _prepare(args, "check-constants")
-    problem = build_problem(cfg)
-    params = problem.structural_params()
-    beta_spec = _parse_grid_flag(args.beta_grid) if args.beta_grid else cfg.get("beta_grid")
-    gamma_spec = _parse_grid_flag(args.gamma_grid) if args.gamma_grid else cfg.get("gamma_grid")
-    betas = _grid_from(beta_spec, [params.beta])
-    gammas = _grid_from(gamma_spec, [params.gamma])
+    params = build_problem(cfg).structural_params()
+    betas = _grid_from(beta_spec or cfg.get("beta_grid"), [params.beta])
+    gammas = _grid_from(gamma_spec or cfg.get("gamma_grid"), [params.gamma])
     header = ["beta", "gamma", "d1", "d2", "d3", "cp",
               "l2_lhs_y", "l2_lhs_z", "lp_lhs_y", "lp_lhs_z", "feasible"]
     rows = []
-    from dataclasses import replace
-
+    best = None
     for beta in betas:
         for gamma in gammas:
             rep = constants_report(replace(params, beta=float(beta), gamma=float(gamma)))
@@ -130,8 +141,8 @@ def cmd_check_constants(args):
             )
             rows.append([rep.beta, rep.gamma, rep.d1, rep.d2, rep.d3, rep.cp,
                          rep.l2_lhs_y, rep.l2_lhs_z, rep.lp_lhs_y, rep.lp_lhs_z, feasible])
+            best = fold_best(best, rep.beta, rep.gamma, rep.margin)
     write_csv(out_dir / "constants.csv", header, rows)
-    best = search_feasible(params, betas, gammas)
     verdict = "none" if best is None else f"beta={best[0]} gamma={best[1]} margin={best[2]}"
     (out_dir / "verdict.txt").write_text(f"best_feasible: {verdict}\n")
     print(f"wrote {out_dir / 'constants.csv'} ({len(rows)} rows); best_feasible: {verdict}")
@@ -159,30 +170,37 @@ def cmd_solve(args):
     problem, settings, forward, solution = _solve_from_config(cfg, args)
     _solution_csv(out_dir, forward.grid, solution)
     feas = solution.feasibility or {}
+    status = f"converged in {solution.sweeps} sweeps"
+    if not solution.converged:
+        last = max(solution.diffs_y[-1:] + solution.diffs_z[-1:], default=float("nan"))
+        status = (f"stopped after {solution.sweeps} sweeps without converging "
+                  f"(last update {last:.3g} >= tol {solution.tol:.3g})")
     print(
-        f"solved in {solution.sweeps} sweeps; "
+        f"{status}; "
         f"mean Y0 = {float(np.mean(solution.y[:, 0])):.6g}; "
         f"feasibility: {feas}"
     )
     return 0
 
 
-def _directions(problem):
-    dim = problem.dim_x
-    return [np.eye(dim)[k] for k in range(dim)]
+def _variationals(problem, settings, forward, solution):
+    """One derivative solve per coordinate direction of the initial state."""
+    return [
+        variational_solve(problem, forward, solution, h,
+                          settings["basis"], settings["picard"], settings["tol"])
+        for h in np.eye(problem.dim_x)
+    ]
 
 
 def cmd_variational(args):
     cfg, out_dir = _prepare(args, "variational")
     problem, settings, forward, solution = _solve_from_config(cfg, args)
     rows = []
-    for h in _directions(problem):
-        var = variational_solve(problem, forward, solution, h,
-                                settings["basis"], settings["picard"], settings["tol"])
+    for var in _variationals(problem, settings, forward, solution):
         for i, t in enumerate(forward.grid):
             p_i = var.p[:, i]
             q_i = var.q[:, i].reshape(len(p_i), -1)
-            rows.append([float(t), int(np.argmax(h)),
+            rows.append([float(t), int(np.argmax(var.direction)),
                          float(np.mean(p_i)), float(np.std(p_i)),
                          float(np.mean(q_i)), float(np.std(q_i))])
     write_csv(out_dir / "variational.csv",
@@ -194,12 +212,8 @@ def cmd_variational(args):
 def cmd_compare_z(args):
     cfg, out_dir = _prepare(args, "compare-z")
     problem, settings, forward, solution = _solve_from_config(cfg, args)
-    variationals = [
-        variational_solve(problem, forward, solution, h,
-                          settings["basis"], settings["picard"], settings["tol"])
-        for h in _directions(problem)
-    ]
-    z_rep = representation_z(forward, variationals, problem.forward)
+    z_rep = representation_z(forward, _variationals(problem, settings, forward, solution),
+                             problem.forward)
     rows = []
     for i, t in enumerate(forward.grid):
         diff = solution.z[:, i] - z_rep[:, i]
@@ -215,9 +229,7 @@ def cmd_compare_z(args):
 
 def cmd_fd_check(args):
     cfg, out_dir = _prepare(args, "fd-check")
-    problem = build_problem(cfg)
-    settings = solver_settings(cfg, vars(args))
-    seed = args.seed if args.seed is not None else int(cfg.get("seed", 0))
+    problem, settings, seed = _setup(cfg, args)
     study = cfg.get("study", {})
     h = np.asarray(study.get("fd_direction", [1.0] * problem.dim_x), dtype=float)
     epsilons = study.get("fd_epsilons", [0.5, 0.25, 0.125])
@@ -282,23 +294,13 @@ def _write_rate_verdict(out_dir, report):
 
 def cmd_study_l2reg(args):
     cfg, out_dir = _prepare(args, "study-l2reg")
-    problem = build_problem(cfg)
-    settings = solver_settings(cfg, vars(args))
-    seed = args.seed if args.seed is not None else int(cfg.get("seed", 0))
     study = cfg.get("study", {})
     meshes = args.meshes or study.get("meshes", [10, 20, 40, 80])
     ref_steps = int(study.get("reference_steps", 160))
     tol_slope = float(study.get("slope_tol", 0.3))
-    grid = np.linspace(0.0, problem.horizon, ref_steps + 1)
-    forward = simulate_forward(problem.forward, problem.x0, grid, settings["paths"], seed)
-    solution = picard_solve(problem, forward, settings["basis"],
-                            settings["picard"], settings["tol"])
-    variationals = [
-        variational_solve(problem, forward, solution, h,
-                          settings["basis"], settings["picard"], settings["tol"])
-        for h in _directions(problem)
-    ]
-    z_ref = representation_z(forward, variationals, problem.forward)
+    problem, settings, forward, solution = _solve_from_config(cfg, args, ref_steps)
+    z_ref = representation_z(forward, _variationals(problem, settings, forward, solution),
+                             problem.forward)
     report = l2_regularity(forward, z_ref, meshes, settings["basis"], tol_slope)
     write_csv(out_dir / "l2reg.csv", ["mesh_size", "functional"],
               list(zip(report.sizes, report.values)))
@@ -309,26 +311,18 @@ def cmd_study_l2reg(args):
 
 def cmd_study_apriori(args):
     cfg, out_dir = _prepare(args, "study-apriori")
-    problem = build_problem(cfg)
-    settings = solver_settings(cfg, vars(args))
-    seed = args.seed if args.seed is not None else int(cfg.get("seed", 0))
+    problem, settings, seed = _setup(cfg, args)
     study = cfg.get("study", {})
     epsilons = study.get("epsilons", [0.4, 0.2, 0.1])
-    grid = np.linspace(0.0, problem.horizon, settings["steps"] + 1)
-    forward = simulate_forward(problem.forward, problem.x0, grid, settings["paths"], seed)
+    forward = _simulate(problem, settings, seed, settings["steps"])
     report = apriori_scaling(
         problem, forward, epsilons,
         terminal_shift=float(study.get("terminal_shift", 1.0)),
         driver_shift=float(study.get("driver_shift", 1.0)),
         max_sweeps=settings["picard"], tol=settings["tol"],
     )
-    rows = [
-        [e, s, hy, hz, rt, rf, r]
-        for e, s, hy, hz, rt, rf, r in zip(
-            report.epsilons, report.s_norms, report.h_norms_y, report.h_norms_z,
-            report.rhs_terminal, report.rhs_driver, report.ratios,
-        )
-    ]
+    rows = zip(report.epsilons, report.s_norms, report.h_norms_y, report.h_norms_z,
+               report.rhs_terminal, report.rhs_driver, report.ratios)
     write_csv(out_dir / "apriori.csv",
               ["epsilon", "s_norm", "h_norm_y", "h_norm_z",
                "rhs_terminal", "rhs_driver", "ratio"], rows)

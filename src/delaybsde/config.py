@@ -46,12 +46,12 @@ _MEASURE_ENTRY = {
 
 _MEASURE = {"type": "array", "items": _MEASURE_ENTRY}
 
-_GRID_RANGE = {
-    "type": "array",
-    "items": {"type": "number"},
-    "minItems": 3,
-    "maxItems": 3,
-}
+
+def _grid_range(end):
+    """[lo, hi, n] of a linspace scan grid: both ends match end, n is a positive integer."""
+    return {"type": "array", "items": [end, end, {"type": "integer", "minimum": 1}],
+            "minItems": 3, "maxItems": 3}
+
 
 CONFIG_SCHEMA = {
     "type": "object",
@@ -60,8 +60,8 @@ CONFIG_SCHEMA = {
         "p": {"type": "number", "minimum": 2},
         "beta": {"type": "number", "minimum": 0},
         "gamma": {"type": "number", "exclusiveMinimum": 0},
-        "beta_grid": _GRID_RANGE,
-        "gamma_grid": _GRID_RANGE,
+        "beta_grid": _grid_range({"type": "number", "minimum": 0}),
+        "gamma_grid": _grid_range({"type": "number", "exclusiveMinimum": 0}),
         "dim_x": {"type": "integer", "minimum": 1},
         "dim_y": {"type": "integer", "minimum": 1},
         "seed": {"type": "integer", "minimum": 0},
@@ -179,6 +179,13 @@ def validate_config(cfg):
         err = errors[0]
         where = "/".join(str(part) for part in err.absolute_path) or "<root>"
         raise ConfigError(f"config invalid at {where}: {err.message}")
+
+
+def validate_grid(key, spec, source):
+    """Apply the config's rule for key (beta_grid or gamma_grid) to a grid from source."""
+    err = next(Draft7Validator(CONFIG_SCHEMA["properties"][key]).iter_errors(spec), None)
+    if err is not None:
+        raise ConfigError(f"{source}: {err.message}")
 
 
 def load_config(path):

@@ -17,7 +17,7 @@ independently written evaluator as a transcription oracle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import product
 
 import numpy as np
@@ -35,6 +35,7 @@ __all__ = [
     "l2_existence_check",
     "lp_contraction_check",
     "constants_report",
+    "fold_best",
     "search_feasible",
 ]
 
@@ -69,7 +70,7 @@ class StructuralParams:
 
 @dataclass(frozen=True)
 class ConstantsReport:
-    """Every derived constant plus the three feasibility verdicts."""
+    """Every derived constant, the three feasibility verdicts and the search margin."""
 
     beta: float
     gamma: float
@@ -93,6 +94,7 @@ class ConstantsReport:
     feasible_l2: bool
     feasible_energy: bool
     feasible_contraction: bool
+    margin: float
 
 
 def max_mass(alpha_y, alpha_z):
@@ -114,58 +116,8 @@ def bdg_constant(p, m):
     return float(m ** (p / 2 + 1) * (p / (p - 1)) ** (p * p / 2) * (p * (p - 1) / 2) ** (p / 2))
 
 
-def _lip_terms(params):
-    lip_eff = params.lipschitz * max_mass(params.alpha_y, params.alpha_z)
-    weighted = max_weighted_mass(params.alpha_y, params.alpha_z, params.beta)
-    return lip_eff, weighted, weighted * lip_eff
-
-
-def stability_constants(params):
-    """Energy constants (d1, d2, d3) of the weighted-norm estimate.
-
-    d3 is reported as -inf on the singular set gamma <= weighted_mass * L so
-    that grid searches can skip infeasible candidates without raising; it
-    needs p > 2 and is nan at p = 2.
-    """
-    if params.gamma <= 0:
-        raise ValueError("gamma must be positive")
-    beta, gamma, p, T = params.beta, params.gamma, params.p, params.horizon
-    _, _, wl = _lip_terms(params)
-    d1 = beta - gamma - wl / gamma
-    d2 = 1.0 - wl / gamma
-    if p == 2:
-        return d1, d2, float("nan")
-    if d2 <= 0.0:
-        return d1, d2, float("-inf")
-    dp = bdg_constant(p, params.dim_y)
-    ratio = wl / (gamma - wl)
-    d3 = (
-        1.0
-        - 2.0 ** (4 * p - 4) * dp**2 * (p / (p - 2)) ** (p / 2) * ratio ** (p / 2) * d2 ** (-p / 2)
-        - (wl * T / gamma) ** (p / 2) * (p / (p - 2)) ** (p / 2) * 2.0 ** (p - 2)
-    )
-    return d1, d2, float(d3)
-
-
-def apriori_constant(params):
-    """A priori constant pieces (gamma3, c1, c2, c3, c4, cp) for p > 2.
-
-    Raises when the energy constants fail, since the estimate then carries no
-    information at this (beta, gamma).
-    """
-    p, T = params.p, params.horizon
-    if p <= 2:
-        raise ValueError("a priori constant defined for p > 2 only")
-    d1, d2, d3 = stability_constants(params)
-    if d2 <= 0.0 or d3 <= 0.0:
-        raise ValueError(
-            f"a priori estimate infeasible at (beta={params.beta}, gamma={params.gamma}): "
-            f"d2={d2}, d3={d3}"
-        )
-    _, _, wl = _lip_terms(params)
-    gamma = params.gamma
-    dp = bdg_constant(p, params.dim_y)
-    ratio = wl / (gamma - wl)
+def _apriori(params, wl, dp, ratio, d2, d3):
+    p, T, gamma = params.p, params.horizon, params.gamma
     gamma3 = (
         0.5
         * d3
@@ -191,15 +143,115 @@ def apriori_constant(params):
     return float(gamma3), float(c1), float(c2), float(c3), float(c4), float(cp)
 
 
+def _masses(params):
+    """Larger total mass, lip_eff and the two exp(-beta v)-weighted masses."""
+    mass = max_mass(params.alpha_y, params.alpha_z)
+    wy = params.alpha_y.exp_weighted_mass(params.beta)
+    wz = params.alpha_z.exp_weighted_mass(params.beta)
+    return mass, params.lipschitz * mass, wy, wz
+
+
+def _l2(params, lip_eff, wy, wz):
+    scale = (8.0 * params.horizon + 1.0 / params.beta) * lip_eff * max(1.0, params.horizon)
+    lhs_y = scale * wy
+    lhs_z = scale * wz
+    return float(lhs_y), float(lhs_z), bool(lhs_y < 1.0 and lhs_z < 1.0)
+
+
+def _evaluate(params):
+    """(report, a priori pieces, L^p condition) at one (beta, gamma), each formula once.
+
+    The pieces and the condition are None unless p > 2, d2 > 0 and d3 > 0;
+    they are returned also where d1 <= 0, although the report shows nan there.
+    """
+    beta, gamma, p, T = params.beta, params.gamma, params.p, params.horizon
+    if gamma <= 0:
+        raise ValueError("gamma must be positive")
+    mass, lip_eff, wy, wz = _masses(params)
+    weighted = max(wy, wz)
+    wl = weighted * lip_eff
+    dp = bdg_constant(p, params.dim_y) if p > 2 else float("nan")
+    d1 = beta - gamma - wl / gamma
+    d2 = 1.0 - wl / gamma
+    d3 = float("nan") if p == 2 else float("-inf")
+    pieces = lp = None
+    if p > 2 and d2 > 0.0:
+        ratio = wl / (gamma - wl)
+        d3 = float(
+            1.0
+            - 2.0 ** (4 * p - 4) * dp**2 * (p / (p - 2)) ** (p / 2) * ratio ** (p / 2)
+            * d2 ** (-p / 2)
+            - (wl * T / gamma) ** (p / 2) * (p / (p - 2)) ** (p / 2) * 2.0 ** (p - 2)
+        )
+        if d3 > 0.0:
+            pieces = _apriori(params, wl, dp, ratio, d2, d3)
+            scale = 2.0 ** (p / 2 - 1) * pieces[-1] * max(1.0, T ** (p / 2))
+            lhs_y = scale * (lip_eff * T * wy) ** (p / 2)
+            lhs_z = scale * (lip_eff * T * wz) ** (p / 2)
+            lp = float(lhs_y), float(lhs_z), bool(lhs_y < 1.0 and lhs_z < 1.0)
+    nan = float("nan")
+    shown = d1 > 0 and pieces is not None
+    gamma3, cp1, cp2, cp3, cp4, cp = pieces if shown else (nan,) * 6
+    lp_y, lp_z, feasible_contraction = lp if shown else (nan, nan, False)
+    l2_y, l2_z, feasible_l2 = _l2(params, lip_eff, wy, wz) if beta > 0 else (nan, nan, False)
+    if p == 2:
+        margin = min(d1, d2, 1.0 - max(l2_y, l2_z)) if beta > 0 else float("-inf")
+    elif d1 > 0 and d2 > 0 and d3 > 0:
+        margin = min(d1, d2, d3, 1.0 - max(lp_y, lp_z))
+    else:
+        margin = min(d1, d2, d3)
+    report = ConstantsReport(
+        beta=beta, gamma=gamma,
+        mass_bound=mass, weighted_mass_bound=weighted,
+        lip_eff=lip_eff, bdg=dp, d1=d1, d2=d2, d3=d3,
+        gamma3=gamma3, cp1=cp1, cp2=cp2, cp3=cp3, cp4=cp4, cp=cp,
+        l2_lhs_y=l2_y, l2_lhs_z=l2_z, lp_lhs_y=lp_y, lp_lhs_z=lp_z,
+        feasible_l2=feasible_l2,
+        feasible_energy=bool(d1 > 0 and d2 > 0 and (p == 2 or d3 > 0)),
+        feasible_contraction=feasible_contraction,
+        margin=float(margin),
+    )
+    return report, pieces, lp
+
+
+def _apriori_point(params):
+    if params.p <= 2:
+        raise ValueError("a priori constant defined for p > 2 only")
+    report, pieces, lp = _evaluate(params)
+    if pieces is None:
+        raise ValueError(
+            f"a priori estimate infeasible at (beta={params.beta}, gamma={params.gamma}): "
+            f"d2={report.d2}, d3={report.d3}"
+        )
+    return pieces, lp
+
+
+def stability_constants(params):
+    """Energy constants (d1, d2, d3) of the weighted-norm estimate.
+
+    d3 is reported as -inf on the singular set gamma <= weighted_mass * L so
+    that grid searches can skip infeasible candidates without raising; it
+    needs p > 2 and is nan at p = 2.
+    """
+    report = constants_report(params)
+    return report.d1, report.d2, report.d3
+
+
+def apriori_constant(params):
+    """A priori constant pieces (gamma3, c1, c2, c3, c4, cp) for p > 2.
+
+    Raises when the energy constants fail, since the estimate then carries no
+    information at this (beta, gamma).
+    """
+    return _apriori_point(params)[0]
+
+
 def l2_existence_check(params):
     """L2 existence condition: (8T + 1/beta) L w(rho) max(1, T) < 1 per measure."""
     if params.beta <= 0:
         raise ValueError("beta must be positive")
-    lip_eff = params.lipschitz * max_mass(params.alpha_y, params.alpha_z)
-    scale = (8.0 * params.horizon + 1.0 / params.beta) * lip_eff * max(1.0, params.horizon)
-    lhs_y = scale * params.alpha_y.exp_weighted_mass(params.beta)
-    lhs_z = scale * params.alpha_z.exp_weighted_mass(params.beta)
-    return float(lhs_y), float(lhs_z), bool(lhs_y < 1.0 and lhs_z < 1.0)
+    _, lip_eff, wy, wz = _masses(params)
+    return _l2(params, lip_eff, wy, wz)
 
 
 def lp_contraction_check(params):
@@ -208,80 +260,35 @@ def lp_contraction_check(params):
     Left-hand side per measure: 2^(p/2-1) C_p (L T w(rho))^(p/2) max(1, T^(p/2)).
     Errors from the a priori constant propagate.
     """
-    p, T = params.p, params.horizon
-    *_, cp = apriori_constant(params)
-    lip_eff = params.lipschitz * max_mass(params.alpha_y, params.alpha_z)
-    scale = 2.0 ** (p / 2 - 1) * cp * max(1.0, T ** (p / 2))
-    lhs_y = scale * (lip_eff * T * params.alpha_y.exp_weighted_mass(params.beta)) ** (p / 2)
-    lhs_z = scale * (lip_eff * T * params.alpha_z.exp_weighted_mass(params.beta)) ** (p / 2)
-    return float(lhs_y), float(lhs_z), bool(lhs_y < 1.0 and lhs_z < 1.0)
+    return _apriori_point(params)[1]
 
 
 def constants_report(params):
     """Evaluate every constant at fixed (beta, gamma) and collect the verdicts.
 
     Fields that require p > 2 or a feasible energy estimate are nan where they
-    do not apply; infeasibility is a verdict here, not an error.
+    do not apply; infeasibility is a verdict here, not an error.  The margin
+    is min(d1, d2[, d3], 1 - condition lhs), positive where feasible, with the
+    L2 existence condition at p = 2 and the contraction condition at p > 2.
     """
-    lip_eff, weighted, _ = _lip_terms(params)
-    d1, d2, d3 = stability_constants(params)
-    gamma3 = cp1 = cp2 = cp3 = cp4 = cp = float("nan")
-    lp_y = lp_z = float("nan")
-    feasible_contraction = False
-    if params.p > 2 and d1 > 0 and d2 > 0 and d3 > 0:
-        gamma3, cp1, cp2, cp3, cp4, cp = apriori_constant(params)
-        lp_y, lp_z, feasible_contraction = lp_contraction_check(params)
-    if params.beta > 0:
-        l2_y, l2_z, feasible_l2 = l2_existence_check(params)
-    else:
-        l2_y = l2_z = float("nan")
-        feasible_l2 = False
-    feasible_energy = bool(d1 > 0 and d2 > 0 and (params.p == 2 or d3 > 0))
-    return ConstantsReport(
-        beta=params.beta,
-        gamma=params.gamma,
-        mass_bound=max_mass(params.alpha_y, params.alpha_z),
-        weighted_mass_bound=weighted,
-        lip_eff=lip_eff,
-        bdg=bdg_constant(params.p, params.dim_y) if params.p > 2 else float("nan"),
-        d1=d1,
-        d2=d2,
-        d3=d3,
-        gamma3=gamma3,
-        cp1=cp1,
-        cp2=cp2,
-        cp3=cp3,
-        cp4=cp4,
-        cp=cp,
-        l2_lhs_y=l2_y,
-        l2_lhs_z=l2_z,
-        lp_lhs_y=lp_y,
-        lp_lhs_z=lp_z,
-        feasible_l2=feasible_l2,
-        feasible_energy=feasible_energy,
-        feasible_contraction=feasible_contraction,
-    )
+    return _evaluate(params)[0]
 
 
 def feasibility_margin(params):
-    """Margin min(d1, d2[, d3], 1 - condition lhs); positive means feasible.
-
-    At p = 2 the margin uses the L2 existence condition, at p > 2 the
-    contraction condition.  -inf marks candidates excluded by singularities.
-    """
+    """The report's margin; -inf where the energy constants are undefined."""
     try:
-        d1, d2, d3 = stability_constants(params)
+        return constants_report(params).margin
     except ValueError:
         return float("-inf")
-    if params.p == 2:
-        if params.beta <= 0:
-            return float("-inf")
-        lhs_y, lhs_z, _ = l2_existence_check(params)
-        return min(d1, d2, 1.0 - max(lhs_y, lhs_z))
-    if not (d1 > 0 and d2 > 0 and d3 > 0):
-        return min(d1, d2, d3)
-    lhs_y, lhs_z, _ = lp_contraction_check(params)
-    return min(d1, d2, d3, 1.0 - max(lhs_y, lhs_z))
+
+
+def fold_best(best, beta, gamma, margin):
+    """Fold a candidate into search_feasible's running best, whatever the visiting order."""
+    if margin <= 0 or not np.isfinite(margin):
+        return best
+    if best is None or margin > best[2] or (margin == best[2] and (beta, gamma) < best[:2]):
+        return (float(beta), float(gamma), float(margin))
+    return best
 
 
 def search_feasible(base, beta_grid, gamma_grid):
@@ -292,22 +299,7 @@ def search_feasible(base, beta_grid, gamma_grid):
     beta, then the smallest gamma.
     """
     best = None
-    for beta, gamma in product(sorted(beta_grid), sorted(gamma_grid)):
-        if beta <= 0 or gamma <= 0:
-            continue
-        candidate = StructuralParams(
-            lipschitz=base.lipschitz,
-            horizon=base.horizon,
-            p=base.p,
-            dim_y=base.dim_y,
-            alpha_y=base.alpha_y,
-            alpha_z=base.alpha_z,
-            beta=float(beta),
-            gamma=float(gamma),
-        )
-        margin = feasibility_margin(candidate)
-        if margin <= 0 or not np.isfinite(margin):
-            continue
-        if best is None or margin > best[2]:
-            best = (float(beta), float(gamma), float(margin))
+    for beta, gamma in product(beta_grid, gamma_grid):
+        margin = feasibility_margin(replace(base, beta=float(beta), gamma=float(gamma)))
+        best = fold_best(best, float(beta), float(gamma), margin)
     return best

@@ -109,6 +109,11 @@ class SolutionBundle:
     tol: float
     feasibility: dict | None = None
 
+    @property
+    def converged(self):
+        """True when the last update fell below tol, False when cut off at max_sweeps."""
+        return bool(self.diffs_y) and max(self.diffs_y[-1], self.diffs_z[-1]) < self.tol
+
 
 @dataclass(frozen=True)
 class VariationalBundle:

@@ -1,9 +1,19 @@
 import json
+import math
+from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from delaybsde.cli import main
 from delaybsde.config import ConfigError, build_problem, load_config, validate_config
+from delaybsde.constants import (
+    apriori_constant,
+    l2_existence_check,
+    lp_contraction_check,
+    search_feasible,
+    stability_constants,
+)
 
 
 def base_config(**overrides):
@@ -234,3 +244,127 @@ class TestCliCommands:
         assert main(["fd-check", "--config", path, "--out", str(out)]) == 0
         rows = (out / "fd_check.csv").read_text().splitlines()
         assert rows[0] == "epsilon,error,block_se"
+
+    def test_solve_reports_convergence(self, tmp_path, capsys):
+        path = write_config(tmp_path, base_config())
+        assert main(["solve", "--config", path, "--out", str(tmp_path / "a")]) == 0
+        assert capsys.readouterr().out.startswith("converged in ")
+
+    def test_truncated_solve_is_not_reported_as_converged(self, tmp_path, capsys):
+        path = write_config(tmp_path, base_config())
+        out = tmp_path / "out"
+        code = main(["solve", "--config", path, "--out", str(out), "--picard", "1", "--tol", "1e-12"])
+        assert code == 0
+        printed = capsys.readouterr().out
+        assert printed.startswith("stopped after 1 sweeps without converging (last update ")
+        assert ">= tol 1e-12" in printed
+        assert "converged in" not in printed and "solved" not in printed
+
+
+def scan_config(**overrides):
+    """p = 4, both delays an atom at -0.25, tiny Lipschitz constant: every sign region occurs."""
+    cfg = base_config(p=4)
+    cfg["generator"] = {"preset": "linear_zdel", "coeff": 1e-4, "lipschitz": 1e-7}
+    cfg["delays"] = {"alpha_y": [{"atom": [-0.25, 1.0]}], "alpha_z": [{"atom": [-0.25, 1.0]}]}
+    cfg.update(overrides)
+    return cfg
+
+
+class TestScanGridValidation:
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--gamma-grid", "0:1:5", "less than or equal to the minimum of 0"),
+        ("--gamma-grid", "0.1:1:0", "less than the minimum of 1"),
+        ("--gamma-grid", "0.1:1:-2", "less than the minimum of 1"),
+        ("--beta-grid", "-0.5:1:3", "less than the minimum of 0"),
+    ])
+    def test_bad_grid_flag_exits_2_before_writing(self, tmp_path, capsys, flag, value, message):
+        path = write_config(tmp_path, scan_config())
+        out = tmp_path / "out"
+        code = main(["check-constants", "--config", path, "--out", str(out), f"{flag}={value}"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"{flag} {value}" in err and message in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("key, spec, where", [
+        ("gamma_grid", [0.0, 1.0, 5], "gamma_grid/0"),
+        ("gamma_grid", [0.1, 1.0, 0], "gamma_grid/2"),
+        ("beta_grid", [0.5, -1.0, 3], "beta_grid/1"),
+        ("beta_grid", [0.5, 2.0, 2.5], "beta_grid/2"),
+    ])
+    def test_bad_config_grid_exits_2_before_writing(self, tmp_path, capsys, key, spec, where):
+        path = write_config(tmp_path, scan_config(**{key: spec}))
+        out = tmp_path / "out"
+        assert main(["check-constants", "--config", path, "--out", str(out)]) == 2
+        assert f"config invalid at {where}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_zero_beta_is_a_valid_grid_end(self, tmp_path):
+        path = write_config(tmp_path, scan_config(beta_grid=[0, 1, 3]))
+        assert main(["check-constants", "--config", path, "--out", str(tmp_path / "out")]) == 0
+
+
+def _grid_values(flag):
+    lo, hi, n = flag.split(":")
+    return np.linspace(float(lo), float(hi), int(n))
+
+
+def _expected_row(params):
+    """One constants.csv row rebuilt from the scalar public functions, nan/-inf by rule."""
+    nan = float("nan")
+    d1, d2, d3 = stability_constants(params)
+    energy = d1 > 0 and d2 > 0 and d3 > 0
+    cp = apriori_constant(params)[-1] if energy else nan
+    lp_y, lp_z, lp_ok = lp_contraction_check(params) if energy else (nan, nan, False)
+    l2_y, l2_z, l2_ok = l2_existence_check(params) if params.beta > 0 else (nan, nan, False)
+    feasible = l2_ok if params.p == 2 else energy and lp_ok
+    values = [params.beta, params.gamma, d1, d2, d3, cp, l2_y, l2_z, lp_y, lp_z]
+    return [repr(float(v)) for v in values] + ["true" if feasible else "false"]
+
+
+class TestScanMatchesPublicFunctions:
+    @pytest.mark.parametrize("cfg, beta_flag, gamma_flag", [
+        (scan_config(), "0:3:7", "1e-7:0.02:12"),
+        (scan_config(), "3:0:7", "0.02:1e-7:12"),
+        (scan_config(), "2:0.5:7", "0.1:1:4"),
+        (base_config(delays={"alpha_y": [{"atom": [-0.25, 1.0]}],
+                             "alpha_z": [{"atom": [-0.25, 1.0]}]}), "0:2:9", "0.1:1:7"),
+        (base_config(), "2:0.5:7", "1:0.1:7"),
+    ])
+    def test_csv_and_verdict_equal_scalar_functions(self, tmp_path, cfg, beta_flag, gamma_flag):
+        path = write_config(tmp_path, cfg)
+        out = tmp_path / "out"
+        assert main(["check-constants", "--config", path, "--out", str(out),
+                     f"--beta-grid={beta_flag}", f"--gamma-grid={gamma_flag}"]) == 0
+        base = build_problem(load_config(path)).structural_params()
+        betas, gammas = _grid_values(beta_flag), _grid_values(gamma_flag)
+        lines = (out / "constants.csv").read_text().splitlines()
+        cells = [line.split(",") for line in lines[1:]]
+        expected = [_expected_row(replace(base, beta=float(b), gamma=float(g)))
+                    for b in betas for g in gammas]
+        assert cells == expected
+        best = search_feasible(base, betas, gammas)
+        verdict = "none" if best is None else f"beta={best[0]} gamma={best[1]} margin={best[2]}"
+        assert (out / "verdict.txt").read_text() == f"best_feasible: {verdict}\n"
+
+    def test_verdict_tie_break_on_a_decreasing_grid(self, tmp_path):
+        # zero Lipschitz mass caps every margin at 1 once beta - gamma >= 1
+        cfg = base_config(generator={"preset": "zero", "lipschitz": 0.0})
+        path = write_config(tmp_path, cfg)
+        out = tmp_path / "out"
+        assert main(["check-constants", "--config", path, "--out", str(out),
+                     "--beta-grid=4:3:2", "--gamma-grid=1:0.5:2"]) == 0
+        assert (out / "verdict.txt").read_text() == "best_feasible: beta=3.0 gamma=0.5 margin=1.0\n"
+
+    def test_p4_grid_crosses_every_sign_region(self, tmp_path):
+        # guards the first case above: it must reach d1 <= 0, d2 <= 0 and d3 <= 0
+        path = write_config(tmp_path, scan_config())
+        out = tmp_path / "out"
+        assert main(["check-constants", "--config", path, "--out", str(out),
+                     "--beta-grid=0:3:7", "--gamma-grid=1e-7:0.02:12"]) == 0
+        lines = (out / "constants.csv").read_text().splitlines()
+        rows = [dict(zip(lines[0].split(","), line.split(","))) for line in lines[1:]]
+        signs = {tuple(float(r[k]) > 0 for k in ("d1", "d2", "d3")) for r in rows}
+        assert {(False, True, True), (True, False, False), (True, True, False)} <= signs
+        assert any(r["feasible"] == "true" for r in rows)
+        assert any(math.isinf(float(r["d3"])) for r in rows)

@@ -261,6 +261,8 @@ class TestSearchFeasible:
         base = params_for(0.0, p=2.0)
         best = search_feasible(base, [3.0, 4.0], [0.5, 1.0])
         assert best == (3.0, 0.5, 1.0)
+        # the rule holds whatever order the grid comes in
+        assert search_feasible(base, [4.0, 3.0], [1.0, 0.5]) == (3.0, 0.5, 1.0)
 
     def test_margin_matches_brute_maximum(self):
         from dataclasses import replace
