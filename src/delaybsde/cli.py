@@ -30,7 +30,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .config import ConfigError, build_problem, load_config, solver_settings, validate_grid
+from .config import ConfigError, build_problem, load_config, solver_settings, validate_flag
 from .constants import constants_report, fold_best
 from .regularity import apriori_scaling, l2_regularity, y_increment_rate
 from .solver import (
@@ -92,11 +92,15 @@ def _parse_grid_flag(args, key):
         spec = [float(lo), float(hi), int(n)]
     except ValueError as exc:
         raise ConfigError(f"grid flag must look like lo:hi:n, got {text!r}") from exc
-    validate_grid(key, spec, f"--{key.replace('_', '-')} {text}")
+    validate_flag(key, spec, f"--{key.replace('_', '-')} {text}")
     return spec
 
 
 def _prepare(args, command):
+    for key in ("seed", "paths", "steps", "picard", "tol"):
+        value = getattr(args, key)
+        if value is not None:
+            validate_flag(key, value, f"--{key} {value}")
     cfg = load_config(args.config)
     out_dir = Path(args.out or cfg.get("output", "out"))
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -64,7 +64,7 @@ CONFIG_SCHEMA = {
         "gamma_grid": _grid_range({"type": "number", "exclusiveMinimum": 0}),
         "dim_x": {"type": "integer", "minimum": 1},
         "dim_y": {"type": "integer", "minimum": 1},
-        "seed": {"type": "integer", "minimum": 0},
+        "seed": {"type": "integer", "minimum": 0, "maximum": 2**64 - 1},
         "output": {"type": "string"},
         "forward": {
             "type": "object",
@@ -181,9 +181,21 @@ def validate_config(cfg):
         raise ConfigError(f"config invalid at {where}: {err.message}")
 
 
-def validate_grid(key, spec, source):
-    """Apply the config's rule for key (beta_grid or gamma_grid) to a grid from source."""
-    err = next(Draft7Validator(CONFIG_SCHEMA["properties"][key]).iter_errors(spec), None)
+_SOLVER_RULES = CONFIG_SCHEMA["properties"]["solver"]["properties"]
+_FLAG_RULES = {
+    "seed": CONFIG_SCHEMA["properties"]["seed"],
+    **{key: _SOLVER_RULES[key] for key in ("paths", "steps", "picard", "tol")},
+    "beta_grid": CONFIG_SCHEMA["properties"]["beta_grid"],
+    "gamma_grid": CONFIG_SCHEMA["properties"]["gamma_grid"],
+}
+
+
+def validate_flag(key, value, source):
+    """Apply the config's rule for key to a command-line value given by source."""
+    for item in value if isinstance(value, list) else [value]:
+        if isinstance(item, float) and not math.isfinite(item):
+            raise ConfigError(f"{source}: {item} is not a finite number")
+    err = next(Draft7Validator(_FLAG_RULES[key]).iter_errors(value), None)
     if err is not None:
         raise ConfigError(f"{source}: {err.message}")
 
@@ -242,15 +254,20 @@ def build_problem(cfg):
     )
 
 
+def _pick(overrides, section, key, default):
+    value = overrides.get(key)
+    return section.get(key, default) if value is None else value
+
+
 def solver_settings(cfg, overrides=None):
     """Solver parameters with CLI overrides applied."""
     section = dict(cfg.get("solver", {}))
     overrides = overrides or {}
     out = {
-        "paths": int(overrides.get("paths") or section.get("paths", 4000)),
-        "steps": int(overrides.get("steps") or section.get("steps", 20)),
-        "picard": int(overrides.get("picard") or section.get("picard", 8)),
-        "tol": float(overrides.get("tol") or section.get("tol", 1e-3)),
+        "paths": int(_pick(overrides, section, "paths", 4000)),
+        "steps": int(_pick(overrides, section, "steps", 20)),
+        "picard": int(_pick(overrides, section, "picard", 8)),
+        "tol": float(_pick(overrides, section, "tol", 1e-3)),
     }
     basis_cfg = section.get("basis", {})
     kwargs = {}

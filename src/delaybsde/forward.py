@@ -8,7 +8,12 @@ assembled from the flow as G_t G_u^{-1} sigma(u, X_u).
 
 Coefficients come from a preset registry, keeping configs data-only.
 Randomness is counter-based: path i draws from a Philox stream keyed by
-(seed, i), so bundles are reproducible independently of scheduling.
+(seed, i), so bundles are reproducible independently of scheduling.  One
+generator serves a whole call and is re-keyed to (seed, i) with a zero
+counter before path i, which yields the same stream as a fresh generator per
+path without its construction cost.  `bundle_from_increments` builds a bundle
+from given increments, so solves that share the noise (the shifted initial
+states of a finite-difference check) draw it once.
 """
 
 from __future__ import annotations
@@ -24,6 +29,7 @@ __all__ = [
     "make_forward",
     "brownian_increments",
     "euler_paths",
+    "bundle_from_increments",
     "simulate_forward",
     "malliavin_forward",
     "FORWARD_PRESETS",
@@ -142,11 +148,15 @@ def brownian_increments(grid, n_paths, dim, seed):
     """Counter-based increments: path i uses Philox keyed by (seed, i)."""
     grid = np.asarray(grid, dtype=float)
     n = len(grid) - 1
-    scale = np.sqrt(np.diff(grid))[:, None]
     out = np.empty((n_paths, n, dim))
+    bitgen = np.random.Philox(key=np.array([seed, 0], dtype=np.uint64))
+    gen = np.random.Generator(bitgen)
+    start = bitgen.state  # key (seed, 0), counter 0, empty buffer
     for i in range(n_paths):
-        gen = np.random.Generator(np.random.Philox(key=np.array([seed, i], dtype=np.uint64)))
-        out[i] = gen.standard_normal((n, dim)) * scale
+        start["state"]["key"][1] = i
+        bitgen.state = start
+        gen.standard_normal(out=out[i])
+    out *= np.sqrt(np.diff(grid))[:, None]
     return out
 
 
@@ -185,12 +195,9 @@ def _invert_flow(grad):
     return np.linalg.inv(grad)
 
 
-def simulate_forward(coeffs, x0, grid, n_paths, seed):
-    """Simulate the forward bundle; deterministic given (seed, path index)."""
-    if n_paths < 1:
-        raise ValueError("need at least one path")
+def bundle_from_increments(coeffs, x0, grid, dw, seed):
+    """Forward bundle driven by given increments dw of shape (M, N, d)."""
     grid = np.asarray(grid, dtype=float)
-    dw = brownian_increments(grid, n_paths, coeffs.dim, seed)
     x, grad = euler_paths(coeffs, x0, grid, dw)
     return ForwardBundle(
         grid=grid,
@@ -199,8 +206,16 @@ def simulate_forward(coeffs, x0, grid, n_paths, seed):
         grad_x=grad,
         grad_x_inv=_invert_flow(grad),
         seed=int(seed),
-        n_paths=int(n_paths),
+        n_paths=len(dw),
     )
+
+
+def simulate_forward(coeffs, x0, grid, n_paths, seed):
+    """Simulate the forward bundle; deterministic given (seed, path index)."""
+    if n_paths < 1:
+        raise ValueError("need at least one path")
+    dw = brownian_increments(grid, n_paths, coeffs.dim, seed)
+    return bundle_from_increments(coeffs, x0, grid, dw, seed)
 
 
 def malliavin_forward(bundle, coeffs, u_index, t_index):

@@ -35,7 +35,7 @@ from functools import lru_cache
 import numpy as np
 
 from .constants import StructuralParams, constants_report
-from .forward import simulate_forward
+from .forward import bundle_from_increments, simulate_forward
 from .measures import DelayMeasure, _row_weights, cell_weights
 from .regression import BasisSpec, DesignSolver, expand_features
 
@@ -441,9 +441,10 @@ def fd_directional_check(problem, h, epsilons, n_paths, n_steps, seed,
                          basis=None, max_sweeps=8, tol=1e-3, floor_epsilon=1e-3):
     """Compare difference quotients of Y in the initial state with grad_Y h.
 
-    All solves share one noise bundle, so the quotient errors isolate the
-    finite-difference bias; they shrink with the step until the regression
-    noise floor.
+    All solves share one draw of the Brownian increments (the shifted states
+    rerun only the Euler step and the flow), so the quotient errors isolate
+    the finite-difference bias; they shrink with the step until the
+    regression noise floor.
     """
     h = np.asarray(h, dtype=float)
     grid = np.linspace(0.0, problem.horizon, n_steps + 1)
@@ -453,7 +454,7 @@ def fd_directional_check(problem, h, epsilons, n_paths, n_steps, seed,
 
     def quotient(eps):
         shifted = problem.with_x0(problem.x0 + eps * h)
-        fwd = simulate_forward(shifted.forward, shifted.x0, grid, n_paths, seed)
+        fwd = bundle_from_increments(shifted.forward, shifted.x0, grid, forward.dw, seed)
         sol = picard_solve(shifted, fwd, basis, max_sweeps, tol)
         return (sol.y - base.y) / eps
 

@@ -261,6 +261,48 @@ class TestCliCommands:
         assert "converged in" not in printed and "solved" not in printed
 
 
+class TestOverrideValidation:
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--picard", "0", "less than the minimum of 1"),
+        ("--picard", "-1", "less than the minimum of 1"),
+        ("--paths", "0", "less than the minimum of 1"),
+        ("--steps", "-3", "less than the minimum of 1"),
+        ("--tol", "0", "less than or equal to the minimum of 0"),
+        ("--tol", "nan", "not a finite number"),
+        ("--seed", "-1", "less than the minimum of 0"),
+        ("--seed", "18446744073709551616", "greater than the maximum of 18446744073709551615"),
+    ])
+    @pytest.mark.parametrize("command", ["solve", "fd-check"])
+    def test_bad_override_exits_2_before_writing(self, tmp_path, capsys, command, flag, value,
+                                                 message):
+        path = write_config(tmp_path, base_config())
+        out = tmp_path / "out"
+        assert main([command, "--config", path, "--out", str(out), f"{flag}={value}"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {flag} ") and message in err
+        assert not out.exists()
+
+    def test_config_seed_above_uint64_rejected(self, tmp_path, capsys):
+        path = write_config(tmp_path, base_config(seed=2**64))
+        out = tmp_path / "out"
+        assert main(["solve", "--config", path, "--out", str(out)]) == 2
+        assert "config invalid at seed" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_valid_overrides_win_over_config(self, tmp_path):
+        path = write_config(tmp_path, base_config())
+        out = tmp_path / "out"
+        code = main(["solve", "--config", path, "--out", str(out), "--picard", "2",
+                     "--tol", "1e-12", "--steps", "5", "--paths", "80",
+                     "--seed", str(2**64 - 1)])
+        assert code == 0
+        assert len((out / "diagnostics.csv").read_text().splitlines()) == 1 + 2
+        assert len((out / "solution.csv").read_text().splitlines()) == 1 + 6
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["seed"] == 2**64 - 1
+        assert manifest["overrides"] == {"paths": 80, "steps": 5, "picard": 2, "tol": 1e-12}
+
+
 def scan_config(**overrides):
     """p = 4, both delays an atom at -0.25, tiny Lipschitz constant: every sign region occurs."""
     cfg = base_config(p=4)

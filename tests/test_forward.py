@@ -3,6 +3,7 @@ import pytest
 
 from delaybsde.forward import (
     brownian_increments,
+    bundle_from_increments,
     euler_paths,
     make_forward,
     malliavin_forward,
@@ -94,6 +95,27 @@ class TestSimulation:
         wide = brownian_increments(grid, 8, 1, seed=3)
         narrow = brownian_increments(grid, 4, 1, seed=3)
         assert np.array_equal(wide[:4], narrow)
+
+    @pytest.mark.parametrize("seed", [0, 5, 2**63, 2**64 - 1])
+    @pytest.mark.parametrize("n_paths, n_steps, dim", [(1, 1, 1), (7, 3, 1), (300, 2, 2)])
+    def test_stream_equals_one_generator_per_path(self, seed, n_paths, n_steps, dim):
+        grid = np.array([0.0, 0.07, 0.3, 0.31])[: n_steps + 1]
+        scale = np.sqrt(np.diff(grid))[:, None]
+        reference = np.stack([
+            np.random.Generator(np.random.Philox(key=np.array([seed, i], dtype=np.uint64)))
+            .standard_normal((n_steps, dim)) * scale
+            for i in range(n_paths)
+        ])
+        assert np.array_equal(brownian_increments(grid, n_paths, dim, seed), reference)
+
+    def test_bundle_from_increments_matches_simulation(self):
+        coeffs = make_forward("gbm", {"mu": 0.1, "nu": 0.2})
+        grid = np.linspace(0.0, 0.5, 11)
+        sim = simulate_forward(coeffs, [1.0], grid, 32, seed=6)
+        built = bundle_from_increments(coeffs, [1.0], grid, sim.dw, 6)
+        for key in ("grid", "dw", "x", "grad_x", "grad_x_inv"):
+            assert np.array_equal(getattr(built, key), getattr(sim, key))
+        assert (built.seed, built.n_paths) == (sim.seed, sim.n_paths)
 
     def test_strong_order_half_for_gbm(self):
         coeffs = make_forward("gbm", {"mu": 0.2, "nu": 0.5})

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from delaybsde.forward import make_forward, simulate_forward
+from delaybsde import forward as forward_module
+from delaybsde.forward import SdeCoefficients, make_forward, simulate_forward
 from delaybsde.generators import make_driver, make_terminal
 from delaybsde.measures import DelayMeasure, cell_weights
 from delaybsde.regression import BasisSpec
@@ -562,3 +563,48 @@ class TestFdCheck:
         rep = fd_directional_check(prob, [1.0], [0.5, 0.25], 1000, 20, seed=3,
                                    tol=1e-10, max_sweeps=12)
         assert max(rep.errors) < 1e-4
+
+
+class TestFdCheckSharedNoise:
+    ARGS = ([1.0], [0.5, 0.25, 0.125], 600, 8)
+
+    @staticmethod
+    def quadratic():
+        return problem(make_driver("zero"), make_terminal("quadratic"),
+                       forward=make_forward("gbm", {"mu": 0.1, "nu": 0.3}), x0=1.0)
+
+    def test_noise_drawn_once_per_check(self, monkeypatch):
+        calls = []
+        draw = forward_module.brownian_increments
+
+        def counted(*args):
+            calls.append(args)
+            return draw(*args)
+
+        monkeypatch.setattr(forward_module, "brownian_increments", counted)
+        fd_directional_check(self.quadratic(), *self.ARGS, seed=4)
+        assert len(calls) == 1
+
+    def test_report_equals_independent_simulation_per_shift(self, monkeypatch):
+        shared = fd_directional_check(self.quadratic(), *self.ARGS, seed=4)
+
+        def simulate_again(coeffs, x0, grid, dw, seed):
+            return simulate_forward(coeffs, x0, grid, len(dw), seed)
+
+        monkeypatch.setattr(solver_module, "bundle_from_increments", simulate_again)
+        assert fd_directional_check(self.quadratic(), *self.ARGS, seed=4) == shared
+
+    def test_singular_shifted_flow_raises(self):
+        # Noise-free drift c x^2 / 2: the flow's first step is 1 + c x0 dt, which is
+        # exactly 1 at x0 = 0 and exactly 0 at the shifted x0 = 0.5 (dt = 0.125).
+        c = -16.0
+        coeffs = SdeCoefficients(
+            "singular_shift", 1,
+            drift=lambda t, x: 0.5 * c * x**2,
+            diffusion=lambda t, x: np.zeros((len(x), 1, 1)),
+            grad_drift=lambda t, x: c * x[:, :, None],
+            grad_diffusion=lambda t, x: np.zeros((len(x), 1, 1, 1)),
+        )
+        prob = problem(make_driver("zero"), make_terminal("identity"), forward=coeffs)
+        with pytest.raises(ValueError, match=r"singular variational flow at path 0, node 1"):
+            fd_directional_check(prob, [1.0], [0.5], 50, 4, seed=1)
