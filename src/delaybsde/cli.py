@@ -32,7 +32,7 @@ import numpy as np
 from . import __version__
 from .config import ConfigError, build_problem, load_config, solver_settings, validate_flag
 from .constants import constants_report, fold_best
-from .regularity import apriori_scaling, l2_regularity, y_increment_rate
+from .regularity import apriori_scaling, l2_regularity, separation_steps, y_increment_rate
 from .solver import (
     fd_directional_check,
     picard_solve,
@@ -96,12 +96,16 @@ def _parse_grid_flag(args, key):
     return spec
 
 
-def _prepare(args, command):
+def _load(args):
     for key in ("seed", "paths", "steps", "picard", "tol"):
         value = getattr(args, key)
         if value is not None:
             validate_flag(key, value, f"--{key} {value}")
-    cfg = load_config(args.config)
+    return load_config(args.config)
+
+
+def _prepare(args, command, cfg=None):
+    cfg = _load(args) if cfg is None else cfg
     out_dir = Path(args.out or cfg.get("output", "out"))
     out_dir.mkdir(parents=True, exist_ok=True)
     write_manifest(out_dir, cfg, args, command)
@@ -272,12 +276,26 @@ def cmd_study_picard(args):
     return 0
 
 
+def _separations(cfg, args):
+    """Study separations checked against the grid; 1, 2, 4 and 8 steps by default."""
+    steps = solver_settings(cfg, vars(args))["steps"]
+    dt = float(cfg["horizon"]) / steps
+    seps = cfg.get("study", {}).get("separations")
+    if seps is None:
+        return [k * dt for k in (1, 2, 4, 8) if k <= steps]
+    try:
+        separation_steps(seps, dt, steps)
+    except ValueError as exc:
+        raise ConfigError(f"study/separations: {exc}") from None
+    return seps
+
+
 def cmd_study_yinc(args):
-    cfg, out_dir = _prepare(args, "study-yinc")
+    cfg = _load(args)
+    seps = _separations(cfg, args)
+    cfg, out_dir = _prepare(args, "study-yinc", cfg)
     problem, settings, forward, solution = _solve_from_config(cfg, args)
     study = cfg.get("study", {})
-    horizon = problem.horizon
-    seps = study.get("separations", [horizon / 40, horizon / 20, horizon / 10, horizon / 5])
     p = float(study.get("moment_p", 2.0))
     tol = float(study.get("slope_tol", 0.15 if p == 2 else 0.3))
     report = y_increment_rate(solution, p, seps, tol)

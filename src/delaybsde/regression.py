@@ -4,12 +4,14 @@ Every conditional expectation in the discrete schemes is realized as a
 cross-sectional ridge regression across simulated paths: targets are
 projected onto total-degree polynomials of a handful of node features.  One
 fit per time node, never pooled across nodes.  Fits are deterministic
-functions of their inputs (SVD-based solve, no randomness).
+functions of their inputs (Cholesky solve of the ridge Gram matrix, no
+randomness).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations_with_replacement
 
 import numpy as np
@@ -52,24 +54,31 @@ def _exponents(n_features, degree):
 
 
 def expand_features(features, degree):
-    """Monomial design matrix of all total degrees <= degree, intercept first."""
+    """Monomial design matrix of all total degrees <= degree, intercept first.
+
+    Columns are filled as contiguous rows of the transpose, so the returned
+    (M, k) matrix is Fortran-ordered.
+    """
     features = np.asarray(features, dtype=float)
     if features.ndim == 1:
         features = features[None, :]
     m, n_feat = features.shape
     exps = _exponents(n_feat, degree)
-    design = np.ones((m, len(exps)))
+    columns = features.T
+    design = np.ones((len(exps), m))
     for col, exp in enumerate(exps):
         for j, power in enumerate(exp):
             if power:
-                design[:, col] *= features[:, j] ** power
-    return design
+                design[col] *= columns[j] ** power
+    return design.T
 
 
 class DesignSolver:
     """Ridge least squares on a fixed design, reusable across target sets.
 
-    The SVD is computed once; every call to solve() reuses it, so the solver
+    Coefficients are (X^T X + lambda I)^{-1} X^T y with
+    lambda = ridge * trace(X^T X) / k.  The Gram matrix is factored by
+    Cholesky once; every call to solve() reuses the factor, so the solver
     node of the Picard sweep pays one factorization per node for both the
     value and the control regressions.
     """
@@ -83,27 +92,38 @@ class DesignSolver:
                 "the fit would be underdetermined"
             )
         self.design = design
-        u, s, vt = np.linalg.svd(design, full_matrices=False)
-        self._u, self._s, self._vt = u, s, vt
-        scale = float(np.sum(s**2)) / k
-        self.penalty = ridge * scale
+        gram = design.T @ design
+        self.penalty = ridge * float(np.trace(gram)) / k
         if ridge == 0.0:
+            s = self._singular_values
             tol = s[0] * max(m, k) * np.finfo(float).eps if s[0] > 0 else 0.0
             if s[-1] <= tol:
                 raise ValueError(
                     "rank-deficient design with zero ridge; set a positive ridge"
                 )
-        self.condition = float(s[0] / s[-1]) if s[-1] > 0 else float("inf")
+        gram[np.diag_indices(k)] += self.penalty
+        try:
+            self._factor = np.linalg.cholesky(gram)
+        except np.linalg.LinAlgError:
+            raise ValueError(
+                f"ridge Gram matrix is not positive definite at ridge {ridge}; "
+                "set a larger ridge"
+            ) from None
+
+    @cached_property
+    def _singular_values(self):
+        return np.linalg.svd(self.design, compute_uv=False)
+
+    @property
+    def condition(self):
+        """Ratio of the largest to the smallest singular value of the design."""
+        s = self._singular_values
+        return float(s[0] / s[-1]) if s[-1] > 0 else float("inf")
 
     def solve(self, targets):
         """Ridge coefficients for one or many target columns."""
-        targets = np.asarray(targets, dtype=float)
-        squeeze = targets.ndim == 1
-        if squeeze:
-            targets = targets[:, None]
-        filt = self._s / (self._s**2 + self.penalty)
-        coeffs = self._vt.T @ (filt[:, None] * (self._u.T @ targets))
-        return coeffs[:, 0] if squeeze else coeffs
+        rhs = self.design.T @ np.asarray(targets, dtype=float)
+        return np.linalg.solve(self._factor.T, np.linalg.solve(self._factor, rhs))
 
     def fitted(self, coeffs):
         return self.design @ coeffs

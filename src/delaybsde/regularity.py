@@ -30,6 +30,7 @@ __all__ = [
     "RateReport",
     "PerturbationReport",
     "fit_loglog_slope",
+    "separation_steps",
     "y_increment_rate",
     "coarse_control_error",
     "l2_regularity",
@@ -82,20 +83,33 @@ def fit_loglog_slope(sizes, values):
     return float(coeffs[0]), float(coeffs[1]), resid
 
 
+def separation_steps(separations, dt, n):
+    """Grid steps spanned by each separation on a uniform grid of n steps dt.
+
+    Raises ValueError unless every separation is k * dt with 1 <= k <= n.
+    """
+    steps = []
+    for sep in separations:
+        k = int(round(sep / dt))
+        if k < 1 or abs(k * dt - sep) > 1e-9 * max(1.0, n * dt):
+            raise ValueError(f"separation {sep} is not a positive multiple of the grid step {dt}")
+        if k > n:
+            raise ValueError(f"separation {sep} exceeds the horizon {n * dt}")
+        steps.append(k)
+    return steps
+
+
 def y_increment_rate(solution, p, separations, target_tol=0.3, label="y-increments"):
     """Moment of Y increments per separation, fitted against the separation.
 
-    Separations must be multiples of the grid step; each moment averages over
-    all node pairs at that separation and all paths.  Target slope p/2.
+    Separations must be multiples of the grid step no longer than the
+    horizon; each moment averages over all node pairs at that separation and
+    all paths.  Target slope p/2.
     """
     grid = solution.grid
-    dt = float(grid[1] - grid[0])
     n = len(grid) - 1
     moments = []
-    for sep in separations:
-        k = int(round(sep / dt))
-        if k < 1 or abs(k * dt - sep) > 1e-9 * max(1.0, grid[-1]):
-            raise ValueError(f"separation {sep} is not a multiple of the grid step")
+    for k in separation_steps(separations, float(grid[1] - grid[0]), n):
         inc = solution.y[:, k:] - solution.y[:, : n + 1 - k]
         mags = np.sqrt(np.sum(inc**2, axis=-1))
         moments.append(float(np.mean(mags**p)))

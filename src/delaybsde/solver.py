@@ -233,6 +233,20 @@ def _solve_setup(problem, forward, basis):
     return wx, wy, wz, xdel_all, builder
 
 
+def _suffix_sums(terminal_vals, f_all, dt):
+    """Tail sums g + sum_{j>=i} f_j dt_j per path and node, (M, N+1, m).
+
+    Accumulates backward from the terminal node, adding in the same order as
+    a node-by-node loop.
+    """
+    n = len(dt)
+    suffix = np.empty((f_all.shape[0], n + 1, f_all.shape[2]))
+    suffix[:, n] = terminal_vals
+    np.multiply(f_all[:, :n], dt[None, :, None], out=suffix[:, :n])
+    np.add.accumulate(suffix[:, ::-1], axis=1, out=suffix[:, ::-1])
+    return suffix
+
+
 def _run_sweeps(grid, dw, terminal_vals, dim_ctrl, conv, driver_all, features_at, basis,
                 max_sweeps, tol):
     """Shared Picard engine for the base and the variational solves.
@@ -252,10 +266,7 @@ def _run_sweeps(grid, dw, terminal_vals, dim_ctrl, conv, driver_all, features_at
     for _ in range(max_sweeps):
         ydel_all, zdel_all = conv(y, z)
         f_all = driver_all(ydel_all, zdel_all)
-        suffix = np.zeros((m_paths, n + 1, dim_y))
-        suffix[:, n] = terminal_vals
-        for i in range(n - 1, -1, -1):
-            suffix[:, i] = suffix[:, i + 1] + f_all[:, i] * dt[i]
+        suffix = _suffix_sums(terminal_vals, f_all, dt)
         y_new = np.zeros_like(y)
         z_new = np.zeros_like(z)
         y_new[:, n] = terminal_vals

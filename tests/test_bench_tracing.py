@@ -8,7 +8,13 @@ import importlib
 import importlib.util
 from pathlib import Path
 
+import numpy as np
 import pytest
+
+from delaybsde import solver
+from delaybsde.forward import make_forward, simulate_forward
+from delaybsde.generators import make_driver, make_terminal
+from delaybsde.measures import DelayMeasure
 
 TRACING = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
 
@@ -38,3 +44,23 @@ def test_install_reports_nothing_missing():
         assert tracer.install() == []
     finally:
         tracer.restore()
+
+
+def test_traced_solve_reports_regression_metrics():
+    problem = solver.DelayFbsdeProblem(
+        horizon=0.5, dim_x=1, dim_y=1, x0=[0.0], forward=make_forward("brownian"),
+        driver=make_driver("linear_zdel", {"coeff": 0.1, "lipschitz": 0.1}),
+        terminal=make_terminal("identity"), alpha_x=DelayMeasure(0.5),
+        alpha_y=DelayMeasure(0.5), alpha_z=DelayMeasure(0.5, atoms=((-0.25, 1.0),)),
+    )
+    forward = simulate_forward(problem.forward, problem.x0, np.linspace(0.0, 0.5, 9), 400, 1)
+    tracer = _load_tracing().Tracer(rep=0)
+    try:
+        assert tracer.install() == []
+        solver.picard_solve(problem, forward, max_sweeps=2)
+    finally:
+        tracer.restore()
+    metrics = tracer.layer_metrics()
+    assert metrics["regression.fits"] > 0
+    assert isinstance(metrics["regression.max_condition"], float)
+    assert metrics["regression.max_condition"] > 1.0

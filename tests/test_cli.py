@@ -1,6 +1,7 @@
 import json
 import math
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,6 +15,8 @@ from delaybsde.constants import (
     search_feasible,
     stability_constants,
 )
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def base_config(**overrides):
@@ -117,13 +120,14 @@ class TestCliCommands:
 
     def test_numerical_failure_exits_1(self, tmp_path, capsys):
         cfg = base_config()
-        cfg["study"] = {"separations": [0.5 / 7, 0.5 / 5, 0.5 / 3]}
-        cfg["generator"] = {"preset": "zero", "lipschitz": 0.0}
-        cfg["delays"] = {}
+        # zero ridge on designs with constant or vanishing columns (node 0,
+        # where every path sits at x0, and nodes before the first lag)
+        cfg["solver"]["basis"] = {"ridge": 0.0}
         path = write_config(tmp_path, cfg)
-        code = main(["study-yinc", "--config", path, "--out", str(tmp_path / "out")])
+        code = main(["solve", "--config", path, "--out", str(tmp_path / "out")])
         assert code == 1
-        assert "multiple" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "regression failed at node" in err and "sweep 1" in err and "ridge" in err
 
     def test_solve_emits_summary_and_diagnostics(self, tmp_path, capsys):
         path = write_config(tmp_path, base_config())
@@ -199,6 +203,39 @@ class TestCliCommands:
         assert main(["study-yinc", "--config", path, "--out", str(out)]) == 0
         assert (out / "yinc.csv").exists()
         assert "fitted_slope" in (out / "verdict.txt").read_text()
+
+    @pytest.mark.parametrize("name", ["delayed_control", "constants_grid"])
+    def test_study_yinc_default_separations_on_20_step_configs(self, tmp_path, name):
+        out = tmp_path / "out"
+        config = str(CONFIGS / f"{name}.json")
+        assert main(["study-yinc", "--config", config, "--out", str(out),
+                     "--paths", "2000", "--seed", "3"]) == 0
+        seps = [row.split(",")[0] for row in (out / "yinc.csv").read_text().splitlines()[1:]]
+        assert seps == [repr(k * 0.5 / 20) for k in (1, 2, 4, 8)]
+
+    def test_study_yinc_default_separations_at_40_steps(self, tmp_path):
+        cfg = base_config(horizon=0.7)
+        cfg["solver"] = {"paths": 600, "steps": 40, "picard": 2, "tol": 1e-3}
+        out = tmp_path / "out"
+        assert main(["study-yinc", "--config", write_config(tmp_path, cfg),
+                     "--out", str(out)]) == 0
+        seps = [row.split(",")[0] for row in (out / "yinc.csv").read_text().splitlines()[1:]]
+        assert seps == [repr(0.7 / d) for d in (40, 20, 10, 5)]
+
+    @pytest.mark.parametrize("seps, message", [
+        ([0.0625, 0.5 / 7], "separation 0.07142857142857142 is not a positive multiple"),
+        ([0.0, 0.125], "separation 0.0 is not a positive multiple"),
+        ([0.125, 0.5625], "separation 0.5625 exceeds the horizon 0.5"),
+    ])
+    def test_study_yinc_bad_separation_exits_2_before_writing(self, tmp_path, capsys,
+                                                               seps, message):
+        cfg = base_config()
+        cfg["study"] = {"separations": seps}
+        out = tmp_path / "out"
+        code = main(["study-yinc", "--config", write_config(tmp_path, cfg), "--out", str(out)])
+        assert code == 2
+        assert f"config error: study/separations: {message}" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_study_apriori_runs(self, tmp_path):
         cfg = base_config()

@@ -4,6 +4,7 @@ import pytest
 from delaybsde.regression import (
     BasisSpec,
     DesignSolver,
+    _exponents,
     expand_features,
     fit_condexp,
     predict,
@@ -18,6 +19,32 @@ def gaussian_pair(m, t, T, seed=0):
     return w_t, w_T
 
 
+def column_builder(features, degree):
+    """The column-by-column monomial builder that expand_features replaced."""
+    features = np.asarray(features, dtype=float)
+    exps = _exponents(features.shape[1], degree)
+    design = np.ones((features.shape[0], len(exps)))
+    for col, exp in enumerate(exps):
+        for j, power in enumerate(exp):
+            if power:
+                design[:, col] *= features[:, j] ** power
+    return design
+
+
+def svd_ridge(design, ridge, targets):
+    """Reference ridge solve: thin SVD and the filter s / (s^2 + lambda)."""
+    u, s, vt = np.linalg.svd(design, full_matrices=False)
+    penalty = ridge * float(np.sum(s**2)) / design.shape[1]
+    return vt.T @ ((s / (s**2 + penalty))[:, None] * (u.T @ targets.reshape(len(design), -1)))
+
+
+def assert_columns_close(actual, expected, rtol=1e-8):
+    """Relative agreement in the Euclidean norm of every column."""
+    actual = actual.reshape(len(actual), -1)
+    err = np.linalg.norm(actual - expected, axis=0)
+    assert np.all(err <= rtol * np.linalg.norm(expected, axis=0)), err
+
+
 class TestExpansion:
     def test_degree_two_column_count(self):
         design = expand_features(np.ones((30, 3)), 2)
@@ -26,6 +53,83 @@ class TestExpansion:
     def test_intercept_first(self):
         design = expand_features(np.arange(12.0).reshape(4, 3), 2)
         assert np.all(design[:, 0] == 1.0)
+
+    @pytest.mark.parametrize("degree", [0, 1, 2, 3])
+    @pytest.mark.parametrize("n_feat", [1, 2, 3])
+    def test_equals_column_builder(self, degree, n_feat):
+        feats = np.random.default_rng(degree + 10 * n_feat).normal(size=(257, n_feat))
+        design = expand_features(feats, degree)
+        assert np.array_equal(design, column_builder(feats, degree))
+
+    def test_columns_are_contiguous(self):
+        design = expand_features(np.ones((50, 2)), 2)
+        assert design.T.flags.c_contiguous
+
+
+def _designs(m=2000):
+    rng = np.random.default_rng(21)
+    x = rng.normal(size=(m, 2))
+    return {
+        "well_conditioned": expand_features(x, 2),
+        # node 0: every path sits at x0 = 0 and the delayed features vanish
+        "node_zero": expand_features(np.zeros((m, 3)), 2),
+        "zero_delayed_column": expand_features(
+            np.column_stack([x[:, 0], np.zeros(m), x[:, 1]]), 2),
+    }
+
+
+class TestCholeskyAgainstSvd:
+    @pytest.mark.parametrize("name", list(_designs()))
+    @pytest.mark.parametrize("n_targets", [1, 3])
+    def test_coefficients_and_fitted_values(self, name, n_targets):
+        design = _designs()[name]
+        rng = np.random.default_rng(n_targets)
+        targets = rng.normal(size=(len(design), n_targets)) + design[:, -1:]
+        if n_targets == 1:
+            targets = targets[:, 0]
+        solver = DesignSolver(design)
+        coeffs = solver.solve(targets)
+        assert coeffs.shape == (design.shape[1],) + targets.shape[1:]
+        expected = svd_ridge(design, 1e-8, targets)
+        assert_columns_close(coeffs, expected)
+        assert_columns_close(solver.fitted(coeffs), design @ expected)
+
+    def test_fitted_values_on_a_nonzero_constant_design(self):
+        # Rank one with entries 1, 0.3, 0.09, ...: the coefficients along the
+        # null space are set by the ridge alone and carry the Gram matrix's
+        # condition (about k / ridge) times machine precision, so only the
+        # fitted values are compared.
+        design = expand_features(np.full((2000, 3), 0.3), 2)
+        targets = np.random.default_rng(3).normal(size=(2000, 2))
+        solver = DesignSolver(design)
+        fitted = solver.fitted(solver.solve(targets))
+        assert_columns_close(fitted, design @ svd_ridge(design, 1e-8, targets))
+
+    @pytest.mark.parametrize("name", list(_designs()))
+    def test_condition_is_the_singular_value_ratio(self, name):
+        design = _designs()[name]
+        s = np.linalg.svd(design, compute_uv=False)
+        expected = s[0] / s[-1] if s[-1] > 0 else float("inf")
+        assert DesignSolver(design).condition == expected
+
+    @staticmethod
+    def _ill_conditioned(m=1024):
+        # Columns 1 and 1 + 2^-33 v with v = +-1: every Gram entry is exactly
+        # m in any summation order, so X^T X is singular in floating point
+        # although the design has full rank (condition about 1.7e10).
+        v = np.tile([1.0, -1.0], m // 2)
+        return np.column_stack([np.ones(m), 1.0 + 2.0**-33 * v])
+
+    def test_zero_ridge_on_an_ill_conditioned_full_rank_design(self):
+        design = self._ill_conditioned()
+        s = np.linalg.svd(design, compute_uv=False)
+        assert 1e9 < s[0] / s[-1] < 1e11
+        with pytest.raises(ValueError, match="not positive definite at ridge 0.0"):
+            DesignSolver(design, ridge=0.0)
+
+    def test_tiny_ridge_names_the_ridge(self):
+        with pytest.raises(ValueError, match="ridge 1e-300; set a larger ridge"):
+            DesignSolver(self._ill_conditioned(), ridge=1e-300)
 
 
 class TestFit:

@@ -89,6 +89,12 @@ class TestYIncrementRate:
         with pytest.raises(ValueError, match="multiple"):
             y_increment_rate(sol, 2.0, [T / 7, T / 5, T / 3])
 
+    def test_separation_beyond_horizon_rejected(self):
+        prob = make_problem(make_driver("zero"), make_terminal("identity"))
+        _, sol = solve_on(prob, 10, 500)
+        with pytest.raises(ValueError, match="exceeds the horizon"):
+            y_increment_rate(sol, 2.0, [T / 10, T / 5, 2 * T])
+
 
 class TestL2Regularity:
     def test_brownian_quadratic_slope_one(self):

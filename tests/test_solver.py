@@ -10,6 +10,7 @@ from delaybsde import solver as solver_module
 from delaybsde.solver import (
     DelayFbsdeProblem,
     _convolve_nodes,
+    _suffix_sums,
     discrete_theta,
     fd_directional_check,
     picard_solve,
@@ -277,6 +278,29 @@ class TestPicardSolve:
             # design rank-deficient
             solve(prob, n_steps=4, n_paths=400,
                   basis=BasisSpec(degree=2, ridge=0.0), sweeps=2)
+
+    def test_singular_gram_failure_carries_node_and_sweep(self):
+        # at x0 = 1 every node-0 column is exactly one, so the Gram matrix is
+        # 400 * ones(3, 3) and a ridge of 1e-300 does not move its diagonal
+        prob = problem(make_driver("zero"), make_terminal("identity"), x0=1.0)
+        with pytest.raises(ValueError, match=r"node 0, sweep 1: .*ridge 1e-300") as info:
+            solve(prob, n_steps=4, n_paths=400,
+                  basis=BasisSpec(degree=2, ridge=1e-300), sweeps=2)
+        assert not isinstance(info.value.__cause__, np.linalg.LinAlgError)
+
+    @pytest.mark.parametrize("dim_y", [1, 2])
+    def test_suffix_sums_equal_the_node_loop(self, dim_y):
+        rng = np.random.default_rng(dim_y)
+        grid = np.concatenate([[0.0], np.cumsum(rng.uniform(0.01, 0.1, 23))])
+        dt = np.diff(grid)
+        n = len(dt)
+        f_all = rng.normal(size=(50, n + 1, dim_y))
+        terminal_vals = rng.normal(size=(50, dim_y))
+        loop = np.zeros((50, n + 1, dim_y))
+        loop[:, n] = terminal_vals
+        for i in range(n - 1, -1, -1):
+            loop[:, i] = loop[:, i + 1] + f_all[:, i] * dt[i]
+        assert np.array_equal(_suffix_sums(terminal_vals, f_all, dt), loop)
 
     def test_atom_lag_features_are_usable(self):
         prob = problem(
