@@ -31,7 +31,7 @@ import numpy as np
 
 from . import __version__
 from .config import ConfigError, build_problem, load_config, solver_settings, validate_flag
-from .constants import constants_report, fold_best
+from .constants import best_feasible, constants_report
 from .regularity import apriori_scaling, l2_regularity, separation_steps, y_increment_rate
 from .solver import (
     fd_directional_check,
@@ -43,6 +43,8 @@ from .forward import simulate_forward
 
 
 def _fmt(value):
+    if type(value) is float:
+        return repr(value)
     if isinstance(value, (bool, np.bool_)):
         return "true" if value else "false"
     if isinstance(value, (int, np.integer)):
@@ -53,10 +55,9 @@ def _fmt(value):
 
 
 def write_csv(path, header, rows):
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
-    Path(path).write_text("\n".join(lines) + "\n")
+    with open(path, "w") as out:
+        out.write(",".join(header) + "\n")
+        out.writelines(",".join(map(_fmt, row)) + "\n" for row in rows)
 
 
 def write_manifest(out_dir, cfg, args, command):
@@ -78,7 +79,7 @@ def write_manifest(out_dir, cfg, args, command):
 
 def _grid_from(spec_triplet, fallback):
     if spec_triplet is None:
-        return fallback
+        return np.array([fallback])
     lo, hi, n = spec_triplet
     return np.linspace(float(lo), float(hi), int(n))
 
@@ -135,25 +136,22 @@ def cmd_check_constants(args):
     gamma_spec = _parse_grid_flag(args, "gamma_grid")
     cfg, out_dir = _prepare(args, "check-constants")
     params = build_problem(cfg).structural_params()
-    betas = _grid_from(beta_spec or cfg.get("beta_grid"), [params.beta])
-    gammas = _grid_from(gamma_spec or cfg.get("gamma_grid"), [params.gamma])
+    betas = _grid_from(beta_spec or cfg.get("beta_grid"), params.beta)
+    gammas = _grid_from(gamma_spec or cfg.get("gamma_grid"), params.gamma)
     header = ["beta", "gamma", "d1", "d2", "d3", "cp",
               "l2_lhs_y", "l2_lhs_z", "lp_lhs_y", "lp_lhs_z", "feasible"]
-    rows = []
-    best = None
-    for beta in betas:
-        for gamma in gammas:
-            rep = constants_report(replace(params, beta=float(beta), gamma=float(gamma)))
-            feasible = rep.feasible_l2 if params.p == 2 else (
-                rep.feasible_energy and rep.feasible_contraction
-            )
-            rows.append([rep.beta, rep.gamma, rep.d1, rep.d2, rep.d3, rep.cp,
-                         rep.l2_lhs_y, rep.l2_lhs_z, rep.lp_lhs_y, rep.lp_lhs_z, feasible])
-            best = fold_best(best, rep.beta, rep.gamma, rep.margin)
+    rep = constants_report(replace(params, beta=betas[:, None], gamma=gammas[None, :]))
+    feasible = rep.feasible_l2 if params.p == 2 else (
+        rep.feasible_energy & rep.feasible_contraction
+    )
+    columns = [rep.beta, rep.gamma, rep.d1, rep.d2, rep.d3, rep.cp,
+               rep.l2_lhs_y, rep.l2_lhs_z, rep.lp_lhs_y, rep.lp_lhs_z, feasible]
+    rows = zip(*(column.ravel().tolist() for column in columns))
+    best = best_feasible(rep)
     write_csv(out_dir / "constants.csv", header, rows)
     verdict = "none" if best is None else f"beta={best[0]} gamma={best[1]} margin={best[2]}"
     (out_dir / "verdict.txt").write_text(f"best_feasible: {verdict}\n")
-    print(f"wrote {out_dir / 'constants.csv'} ({len(rows)} rows); best_feasible: {verdict}")
+    print(f"wrote {out_dir / 'constants.csv'} ({rep.margin.size} rows); best_feasible: {verdict}")
     return 0
 
 

@@ -11,14 +11,15 @@ decides feasibility:
 * the a priori constant C_p built from them (p > 2),
 * the L^p Picard contraction condition driven by C_p.
 
-All formulas are transcribed literally; the test suite keeps a second,
-independently written evaluator as a transcription oracle.
+All formulas are transcribed literally and evaluated over broadcast arrays of
+(beta, gamma), so a whole grid of exponents is one call.  The test suite keeps
+a second, independently written evaluator as a transcription oracle, and a
+point-by-point scalar evaluator as the reference for the broadcast one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from itertools import product
 
 import numpy as np
 
@@ -35,7 +36,7 @@ __all__ = [
     "l2_existence_check",
     "lp_contraction_check",
     "constants_report",
-    "fold_best",
+    "best_feasible",
     "search_feasible",
 ]
 
@@ -45,7 +46,8 @@ class StructuralParams:
     """Structural data entering the feasibility conditions.
 
     lipschitz is the declared squared-Lipschitz constant K of the generator,
-    dim_y the dimension of the backward component.
+    dim_y the dimension of the backward component.  beta and gamma are
+    numbers, or arrays that broadcast against each other to a grid of them.
     """
 
     lipschitz: float
@@ -70,7 +72,13 @@ class StructuralParams:
 
 @dataclass(frozen=True)
 class ConstantsReport:
-    """Every derived constant, the three feasibility verdicts and the search margin."""
+    """Every derived constant, the three feasibility verdicts and the search margin.
+
+    For numbers beta and gamma every field is a Python float or bool.  For
+    arrays every field is an array of their broadcast shape, entry (i, j)
+    being the report at that grid point; fields that do not depend on the
+    exponents are repeated.
+    """
 
     beta: float
     gamma: float
@@ -116,8 +124,8 @@ def bdg_constant(p, m):
     return float(m ** (p / 2 + 1) * (p / (p - 1)) ** (p * p / 2) * (p * (p - 1) / 2) ** (p / 2))
 
 
-def _apriori(params, wl, dp, ratio, d2, d3):
-    p, T, gamma = params.p, params.horizon, params.gamma
+def _apriori(params, gamma, wl, dp, ratio, d2, d3):
+    p, T = params.p, params.horizon
     gamma3 = (
         0.5
         * d3
@@ -139,86 +147,118 @@ def _apriori(params, wl, dp, ratio, d2, d3):
         inner * (2.0 ** (3 * p / 2 - 2) + 2.0 ** (5 * p / 2 - 3) * ratio) ** (p / 2) / gamma3
         + 2.0 ** (3 * p / 2 - 1) * gamma3
     )
-    cp = max(c1 + c3, c2 + c4)
-    return float(gamma3), float(c1), float(c2), float(c3), float(c4), float(cp)
+    return gamma3, c1, c2, c3, c4, np.maximum(c1 + c3, c2 + c4)
 
 
-def _masses(params):
-    """Larger total mass, lip_eff and the two exp(-beta v)-weighted masses."""
+def _masses(params, beta):
+    """Larger total mass, larger weighted mass, lip_eff and the weighted masses per measure.
+
+    The conditions read a weighted mass w only through lip_eff * w, which is 0
+    where lip_eff = 0 even if w overflows to inf; the per-measure masses are
+    therefore returned as 0 there.
+    """
     mass = max_mass(params.alpha_y, params.alpha_z)
-    wy = params.alpha_y.exp_weighted_mass(params.beta)
-    wz = params.alpha_z.exp_weighted_mass(params.beta)
-    return mass, params.lipschitz * mass, wy, wz
+    lip_eff = params.lipschitz * mass
+    wy = params.alpha_y.exp_weighted_mass(beta)
+    wz = params.alpha_z.exp_weighted_mass(beta)
+    weighted = np.maximum(wy, wz)
+    if lip_eff == 0.0:
+        wy = wz = np.zeros_like(weighted)
+    return mass, weighted, lip_eff, wy, wz
 
 
-def _l2(params, lip_eff, wy, wz):
-    scale = (8.0 * params.horizon + 1.0 / params.beta) * lip_eff * max(1.0, params.horizon)
+def _l2(params, beta, lip_eff, wy, wz):
+    scale = (8.0 * params.horizon + 1.0 / beta) * lip_eff * max(1.0, params.horizon)
     lhs_y = scale * wy
     lhs_z = scale * wz
-    return float(lhs_y), float(lhs_z), bool(lhs_y < 1.0 and lhs_z < 1.0)
+    return lhs_y, lhs_z, (lhs_y < 1.0) & (lhs_z < 1.0)
 
 
 def _evaluate(params):
-    """(report, a priori pieces, L^p condition) at one (beta, gamma), each formula once.
+    """(report, a priori pieces, L^p condition) over broadcast (beta, gamma), each formula once.
 
-    The pieces and the condition are None unless p > 2, d2 > 0 and d3 > 0;
-    they are returned also where d1 <= 0, although the report shows nan there.
+    The pieces and the condition hold values where p > 2, d2 > 0 and d3 > 0
+    and nan (False) elsewhere; unlike the report they are not masked where
+    d1 <= 0.  All three come back shaped like the report's fields.
     """
-    beta, gamma, p, T = params.beta, params.gamma, params.p, params.horizon
-    if gamma <= 0:
+    p, T = params.p, params.horizon
+    beta = np.asarray(params.beta, dtype=float)
+    gamma = np.asarray(params.gamma, dtype=float)
+    if np.any(gamma <= 0):
         raise ValueError("gamma must be positive")
-    mass, lip_eff, wy, wz = _masses(params)
-    weighted = max(wy, wz)
-    wl = weighted * lip_eff
-    dp = bdg_constant(p, params.dim_y) if p > 2 else float("nan")
-    d1 = beta - gamma - wl / gamma
-    d2 = 1.0 - wl / gamma
-    d3 = float("nan") if p == 2 else float("-inf")
-    pieces = lp = None
-    if p > 2 and d2 > 0.0:
-        ratio = wl / (gamma - wl)
-        d3 = float(
-            1.0
-            - 2.0 ** (4 * p - 4) * dp**2 * (p / (p - 2)) ** (p / 2) * ratio ** (p / 2)
-            * d2 ** (-p / 2)
-            - (wl * T / gamma) ** (p / 2) * (p / (p - 2)) ** (p / 2) * 2.0 ** (p - 2)
-        )
-        if d3 > 0.0:
-            pieces = _apriori(params, wl, dp, ratio, d2, d3)
+    grid = np.broadcast_shapes(beta.shape, gamma.shape)
+    # At least one-dimensional, so that a single point runs the same ufunc
+    # loops as a grid: numpy scalars would take libm's pow instead.
+    beta, gamma = np.atleast_1d(beta, gamma)
+    nan = float("nan")
+    with np.errstate(all="ignore"):
+        mass, weighted, lip_eff, wy, wz = _masses(params, beta)
+        wl = np.maximum(wy, wz) * lip_eff
+        d1 = beta - gamma - wl / gamma
+        d2 = 1.0 - wl / gamma
+        if p > 2:
+            dp = bdg_constant(p, params.dim_y)
+            ratio = wl / (gamma - wl)
+            d3 = np.where(
+                d2 > 0.0,
+                1.0
+                - 2.0 ** (4 * p - 4) * dp**2 * (p / (p - 2)) ** (p / 2) * ratio ** (p / 2)
+                * d2 ** (-p / 2)
+                - (wl * T / gamma) ** (p / 2) * (p / (p - 2)) ** (p / 2) * 2.0 ** (p - 2),
+                -np.inf,
+            )
+            holds = (d2 > 0.0) & (d3 > 0.0)
+            pieces = _apriori(params, gamma, wl, dp, ratio, d2, d3)
             scale = 2.0 ** (p / 2 - 1) * pieces[-1] * max(1.0, T ** (p / 2))
             lhs_y = scale * (lip_eff * T * wy) ** (p / 2)
             lhs_z = scale * (lip_eff * T * wz) ** (p / 2)
-            lp = float(lhs_y), float(lhs_z), bool(lhs_y < 1.0 and lhs_z < 1.0)
-    nan = float("nan")
-    shown = d1 > 0 and pieces is not None
-    gamma3, cp1, cp2, cp3, cp4, cp = pieces if shown else (nan,) * 6
-    lp_y, lp_z, feasible_contraction = lp if shown else (nan, nan, False)
-    l2_y, l2_z, feasible_l2 = _l2(params, lip_eff, wy, wz) if beta > 0 else (nan, nan, False)
-    if p == 2:
-        margin = min(d1, d2, 1.0 - max(l2_y, l2_z)) if beta > 0 else float("-inf")
-    elif d1 > 0 and d2 > 0 and d3 > 0:
-        margin = min(d1, d2, d3, 1.0 - max(lp_y, lp_z))
-    else:
-        margin = min(d1, d2, d3)
-    report = ConstantsReport(
+            pieces = [np.where(holds, c, nan) for c in pieces]
+            lp = [np.where(holds, lhs_y, nan), np.where(holds, lhs_z, nan),
+                  holds & (lhs_y < 1.0) & (lhs_z < 1.0)]
+        else:
+            dp = nan
+            d3 = np.full(d2.shape, nan)
+            holds = np.zeros(d2.shape, dtype=bool)
+            pieces = [d3] * 6
+            lp = [d3, d3, holds]
+        shown = (d1 > 0.0) & holds
+        gamma3, cp1, cp2, cp3, cp4, cp = (np.where(shown, c, nan) for c in pieces)
+        lp_y, lp_z = (np.where(shown, lhs, nan) for lhs in lp[:2])
+        positive = beta > 0.0
+        l2_y, l2_z, l2_ok = _l2(params, beta, lip_eff, wy, wz)
+        l2_y, l2_z = np.where(positive, l2_y, nan), np.where(positive, l2_z, nan)
+        margin = np.minimum(d1, d2)
+        if p == 2:
+            margin = np.where(positive, np.minimum(margin, 1.0 - np.maximum(l2_y, l2_z)), -np.inf)
+        else:
+            margin = np.minimum(margin, d3)
+            margin = np.where(shown, np.minimum(margin, 1.0 - np.maximum(lp_y, lp_z)), margin)
+    values = dict(
         beta=beta, gamma=gamma,
         mass_bound=mass, weighted_mass_bound=weighted,
         lip_eff=lip_eff, bdg=dp, d1=d1, d2=d2, d3=d3,
         gamma3=gamma3, cp1=cp1, cp2=cp2, cp3=cp3, cp4=cp4, cp=cp,
         l2_lhs_y=l2_y, l2_lhs_z=l2_z, lp_lhs_y=lp_y, lp_lhs_z=lp_z,
-        feasible_l2=feasible_l2,
-        feasible_energy=bool(d1 > 0 and d2 > 0 and (p == 2 or d3 > 0)),
-        feasible_contraction=feasible_contraction,
-        margin=float(margin),
+        feasible_l2=positive & l2_ok,
+        feasible_energy=shown if p > 2 else (d1 > 0.0) & (d2 > 0.0),
+        feasible_contraction=shown & lp[2],
+        margin=margin,
     )
-    return report, pieces, lp
+    work = np.broadcast_shapes(beta.shape, gamma.shape)
+
+    def shaped(value):
+        value = np.broadcast_to(value, work).reshape(grid)
+        return value.item() if grid == () else value
+
+    report = ConstantsReport(**{name: shaped(value) for name, value in values.items()})
+    return report, tuple(map(shaped, pieces)), tuple(map(shaped, lp))
 
 
 def _apriori_point(params):
     if params.p <= 2:
         raise ValueError("a priori constant defined for p > 2 only")
     report, pieces, lp = _evaluate(params)
-    if pieces is None:
+    if not (report.d2 > 0.0 and report.d3 > 0.0):
         raise ValueError(
             f"a priori estimate infeasible at (beta={params.beta}, gamma={params.gamma}): "
             f"d2={report.d2}, d3={report.d3}"
@@ -250,8 +290,10 @@ def l2_existence_check(params):
     """L2 existence condition: (8T + 1/beta) L w(rho) max(1, T) < 1 per measure."""
     if params.beta <= 0:
         raise ValueError("beta must be positive")
-    _, lip_eff, wy, wz = _masses(params)
-    return _l2(params, lip_eff, wy, wz)
+    with np.errstate(all="ignore"):
+        _, _, lip_eff, wy, wz = _masses(params, params.beta)
+        lhs_y, lhs_z, holds = _l2(params, params.beta, lip_eff, wy, wz)
+    return float(lhs_y), float(lhs_z), bool(holds)
 
 
 def lp_contraction_check(params):
@@ -264,31 +306,37 @@ def lp_contraction_check(params):
 
 
 def constants_report(params):
-    """Evaluate every constant at fixed (beta, gamma) and collect the verdicts.
+    """Evaluate every constant at (beta, gamma) and collect the verdicts.
 
-    Fields that require p > 2 or a feasible energy estimate are nan where they
-    do not apply; infeasibility is a verdict here, not an error.  The margin
-    is min(d1, d2[, d3], 1 - condition lhs), positive where feasible, with the
-    L2 existence condition at p = 2 and the contraction condition at p > 2.
+    beta and gamma may be arrays; every field of the report then has their
+    broadcast shape, so ``replace(params, beta=betas[:, None],
+    gamma=gammas[None, :])`` evaluates a whole grid in one call.  Fields that
+    require p > 2 or a feasible energy estimate are nan where they do not
+    apply; infeasibility is a verdict here, not an error, but gamma <= 0 or
+    beta < 0 anywhere raises.  The margin is min(d1, d2[, d3], 1 - condition
+    lhs), positive where feasible, with the L2 existence condition at p = 2
+    and the contraction condition at p > 2.
     """
     return _evaluate(params)[0]
 
 
-def feasibility_margin(params):
-    """The report's margin; -inf where the energy constants are undefined."""
-    try:
-        return constants_report(params).margin
-    except ValueError:
-        return float("-inf")
+def best_feasible(report):
+    """(beta, gamma, margin) of the report's best point, or None when none is feasible.
 
-
-def fold_best(best, beta, gamma, margin):
-    """Fold a candidate into search_feasible's running best, whatever the visiting order."""
-    if margin <= 0 or not np.isfinite(margin):
-        return best
-    if best is None or margin > best[2] or (margin == best[2] and (beta, gamma) < best[:2]):
-        return (float(beta), float(gamma), float(margin))
-    return best
+    Only points with a finite positive margin count.  The largest margin wins;
+    ties break toward the smallest beta, then the smallest gamma, so the
+    result does not depend on the order of the grid.
+    """
+    margin = np.asarray(report.margin)
+    ok = np.isfinite(margin) & (margin > 0)
+    if not ok.any():
+        return None
+    top = margin[ok].max()
+    best = margin == top
+    beta = np.broadcast_to(report.beta, margin.shape)[best]
+    gamma = np.broadcast_to(report.gamma, margin.shape)[best]
+    i = np.lexsort((gamma, beta))[0]
+    return float(beta[i]), float(gamma[i]), float(top)
 
 
 def search_feasible(base, beta_grid, gamma_grid):
@@ -296,10 +344,13 @@ def search_feasible(base, beta_grid, gamma_grid):
 
     Returns (beta, gamma, margin) for the best candidate with positive margin,
     or None when the whole grid is infeasible.  Ties break toward the smallest
-    beta, then the smallest gamma.
+    beta, then the smallest gamma.  Axis values outside beta >= 0, gamma > 0
+    are skipped.
     """
-    best = None
-    for beta, gamma in product(beta_grid, gamma_grid):
-        margin = feasibility_margin(replace(base, beta=float(beta), gamma=float(gamma)))
-        best = fold_best(best, float(beta), float(gamma), margin)
-    return best
+    betas = np.asarray(beta_grid, dtype=float).ravel()
+    gammas = np.asarray(gamma_grid, dtype=float).ravel()
+    betas, gammas = betas[betas >= 0], gammas[gammas > 0]
+    if not (betas.size and gammas.size):
+        return None
+    return best_feasible(constants_report(replace(base, beta=betas[:, None],
+                                                  gamma=gammas[None, :])))

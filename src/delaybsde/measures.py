@@ -106,21 +106,24 @@ class DelayMeasure:
     def exp_weighted_mass(self, beta):
         """Integral of exp(-beta * v) over the measure, beta >= 0.
 
-        Atoms are summed exactly; density pieces use the closed-form
-        exponential integral, falling back to the plain length at beta = 0.
+        beta may be an array, giving an array of its shape whose entries are
+        computed exactly as for a number.  Atoms are summed exactly; density
+        pieces use the closed-form exponential integral, and beta = 0 gives
+        total_mass().
         """
-        if beta < 0:
+        beta = np.asarray(beta, dtype=float)
+        if np.any(beta < 0):
             raise ValueError("beta must be nonnegative")
-        if beta == 0.0:
-            return self.total_mass()
         mass = sum(w * np.exp(-beta * loc) for loc, w in self.atoms)
         for a, b, level in self.density_pieces:
             # (exp(-beta a) - exp(-beta b)) / beta, written as
             # (b - a) * expm1(x) / x so that a subnormal x loses no digits
             x = beta * (b - a)
-            slab = (b - a) * (np.expm1(x) / x) if x > 0.0 else b - a
+            with np.errstate(invalid="ignore"):  # 0 / 0 where x = 0 is masked out
+                slab = np.where(x > 0.0, (b - a) * (np.expm1(x) / x), b - a)
             mass += level * np.exp(-beta * b) * slab
-        return float(mass)
+        mass = np.where(beta == 0.0, self.total_mass(), mass)
+        return float(mass) if mass.ndim == 0 else mass
 
     def interval_mass(self, a, b):
         """Mass of [a, b) intersected with the support.

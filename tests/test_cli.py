@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from delaybsde.cli import main
+from delaybsde.cli import _fmt, main
 from delaybsde.config import ConfigError, build_problem, load_config, validate_config
 from delaybsde.constants import (
     apriori_constant,
@@ -40,6 +40,15 @@ def write_config(tmp_path, cfg, name="config.json"):
     path = tmp_path / name
     path.write_text(json.dumps(cfg))
     return str(path)
+
+
+@pytest.mark.parametrize("value, text", [
+    (True, "true"), (np.bool_(False), "false"), (3, "3"), (np.int64(-7), "-7"),
+    (0.1, "0.1"), (np.float64(0.1), "0.1"), (float("nan"), "nan"),
+    (float("inf"), "inf"), (-np.inf, "-inf"), (-0.0, "-0.0"), ("abc", "abc"),
+])
+def test_fmt_cells(value, text):
+    assert _fmt(value) == text
 
 
 class TestConfigValidation:

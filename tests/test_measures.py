@@ -56,6 +56,22 @@ class TestMassOps:
         at_zero = m.exp_weighted_mass(0.0)
         assert at_zero <= m.exp_weighted_mass(2.2e-313) <= at_zero * (1.0 + 1e-15)
 
+    def test_exp_weighted_array_matches_each_number(self):
+        # an array of beta runs the same operations per entry, so every entry
+        # equals the scalar call bit for bit; beta = 0 gives total_mass()
+        m = DelayMeasure(1.0, atoms=((-0.2, 0.5), (-0.6, 0.25)),
+                         density_pieces=((-0.9, -0.7, 1.0), (-0.5, -0.3, 2.0)))
+        betas = np.array([[0.0, 2.2e-313, 0.3], [1.0, 2.5, 40.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = m.exp_weighted_mass(betas)
+        want = [[m.exp_weighted_mass(float(b)) for b in row] for row in betas]
+        assert got.shape == betas.shape
+        assert got.tolist() == want
+        assert got[0, 0] == m.total_mass()
+        with pytest.raises(ValueError, match="nonnegative"):
+            m.exp_weighted_mass(np.array([1.0, -1e-300]))
+
 
 class TestIntervalMass:
     def test_atom_on_left_endpoint_included(self):
