@@ -12,12 +12,11 @@ from .constants import (
 )
 from .forward import SdeCoefficients, ForwardBundle, make_forward, simulate_forward
 from .generators import Driver, Terminal, make_driver, make_terminal
-from .regression import BasisSpec, FitResult, fit_condexp, predict
+from .regression import BasisSpec
 from .solver import (
     DelayFbsdeProblem,
     SolutionBundle,
     VariationalBundle,
-    discrete_theta,
     picard_solve,
     variational_solve,
     representation_z,
@@ -52,13 +51,9 @@ __all__ = [
     "make_driver",
     "make_terminal",
     "BasisSpec",
-    "FitResult",
-    "fit_condexp",
-    "predict",
     "DelayFbsdeProblem",
     "SolutionBundle",
     "VariationalBundle",
-    "discrete_theta",
     "picard_solve",
     "variational_solve",
     "representation_z",

@@ -312,11 +312,31 @@ def _write_rate_verdict(out_dir, report):
     )
 
 
-def cmd_study_l2reg(args):
-    cfg, out_dir = _prepare(args, "study-l2reg")
+def _meshes(cfg, args):
+    """Coarse meshes and reference steps of study-l2reg, checked before any solve.
+
+    A rate fit needs at least three meshes, and each must divide the
+    reference mesh; 10, 20, 40 and 80 by default.
+    """
     study = cfg.get("study", {})
-    meshes = args.meshes or study.get("meshes", [10, 20, 40, 80])
     ref_steps = int(study.get("reference_steps", 160))
+    meshes, where = study.get("meshes", [10, 20, 40, 80]), "study/meshes"
+    if args.meshes is not None:
+        meshes, where = args.meshes, "--meshes " + ",".join(map(str, args.meshes))
+        validate_flag("meshes", meshes, where)
+    if len(meshes) < 3:
+        raise ConfigError(f"{where}: need at least three meshes for a rate fit")
+    for nc in meshes:
+        if ref_steps % nc:
+            raise ConfigError(f"{where}: mesh {nc} does not divide reference_steps {ref_steps}")
+    return meshes, ref_steps
+
+
+def cmd_study_l2reg(args):
+    cfg = _load(args)
+    meshes, ref_steps = _meshes(cfg, args)
+    cfg, out_dir = _prepare(args, "study-l2reg", cfg)
+    study = cfg.get("study", {})
     tol_slope = float(study.get("slope_tol", 0.3))
     problem, settings, forward, solution = _solve_from_config(cfg, args, ref_steps)
     z_ref = representation_z(forward, _variationals(problem, settings, forward, solution),

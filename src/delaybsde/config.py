@@ -16,7 +16,7 @@ from jsonschema import Draft7Validator
 from .generators import make_driver, make_terminal
 from .forward import make_forward
 from .measures import DelayMeasure
-from .regression import BasisSpec
+from .regression import FEATURES, BasisSpec
 from .solver import DelayFbsdeProblem
 
 __all__ = ["ConfigError", "CONFIG_SCHEMA", "load_config", "validate_config", "build_problem"]
@@ -124,7 +124,8 @@ CONFIG_SCHEMA = {
                     "type": "object",
                     "properties": {
                         "degree": {"type": "integer", "minimum": 0},
-                        "features": {"type": "array", "items": {"type": "string"}},
+                        "features": {"type": "array", "items": {"enum": list(FEATURES)},
+                                     "uniqueItems": True, "minItems": 1},
                         "ridge": {"type": "number", "minimum": 0},
                     },
                     "additionalProperties": False,
@@ -187,6 +188,7 @@ _FLAG_RULES = {
     **{key: _SOLVER_RULES[key] for key in ("paths", "steps", "picard", "tol")},
     "beta_grid": CONFIG_SCHEMA["properties"]["beta_grid"],
     "gamma_grid": CONFIG_SCHEMA["properties"]["gamma_grid"],
+    "meshes": CONFIG_SCHEMA["properties"]["study"]["properties"]["meshes"],
 }
 
 

@@ -111,8 +111,8 @@ def max_mass(alpha_y, alpha_z):
 
 
 def max_weighted_mass(alpha_y, alpha_z, beta):
-    """Larger of the two exp(-beta v)-weighted delay masses."""
-    return max(alpha_y.exp_weighted_mass(beta), alpha_z.exp_weighted_mass(beta))
+    """Larger of the two exp(-beta v)-weighted delay masses; beta may be an array."""
+    return np.maximum(alpha_y.exp_weighted_mass(beta), alpha_z.exp_weighted_mass(beta))
 
 
 def bdg_constant(p, m):
@@ -159,9 +159,9 @@ def _masses(params, beta):
     """
     mass = max_mass(params.alpha_y, params.alpha_z)
     lip_eff = params.lipschitz * mass
+    weighted = max_weighted_mass(params.alpha_y, params.alpha_z, beta)
     wy = params.alpha_y.exp_weighted_mass(beta)
     wz = params.alpha_z.exp_weighted_mass(beta)
-    weighted = np.maximum(wy, wz)
     if lip_eff == 0.0:
         wy = wz = np.zeros_like(weighted)
     return mass, weighted, lip_eff, wy, wz

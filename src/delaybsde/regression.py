@@ -16,9 +16,11 @@ from itertools import combinations_with_replacement
 
 import numpy as np
 
-__all__ = ["BasisSpec", "FitResult", "DesignSolver", "expand_features", "fit_condexp", "predict"]
+__all__ = ["FEATURES", "BasisSpec", "DesignSolver", "expand_features"]
 
-DEFAULT_FEATURES = ("x", "xdel", "ydel", "zdel")
+# Node features a basis may select: the state and the delayed convolutions of
+# the state, the value and the control.
+FEATURES = ("x", "xdel", "ydel", "zdel")
 
 
 @dataclass(frozen=True)
@@ -31,7 +33,7 @@ class BasisSpec:
     """
 
     degree: int = 2
-    features: tuple = DEFAULT_FEATURES
+    features: tuple = FEATURES
     ridge: float = 1e-8
 
     def __post_init__(self):
@@ -39,7 +41,15 @@ class BasisSpec:
             raise ValueError("degree must be nonnegative")
         if self.ridge < 0:
             raise ValueError("ridge must be nonnegative")
-        object.__setattr__(self, "features", tuple(self.features))
+        features = tuple(self.features)
+        if not features:
+            raise ValueError("basis needs at least one feature")
+        for name in features:
+            if name not in FEATURES:
+                raise ValueError(f"unknown basis feature {name!r}; expected one of {FEATURES}")
+        if len(set(features)) < len(features):
+            raise ValueError(f"basis features repeat: {features}")
+        object.__setattr__(self, "features", features)
 
 
 def _exponents(n_features, degree):
@@ -60,8 +70,6 @@ def expand_features(features, degree):
     (M, k) matrix is Fortran-ordered.
     """
     features = np.asarray(features, dtype=float)
-    if features.ndim == 1:
-        features = features[None, :]
     m, n_feat = features.shape
     exps = _exponents(n_feat, degree)
     columns = features.T
@@ -127,47 +135,3 @@ class DesignSolver:
 
     def fitted(self, coeffs):
         return self.design @ coeffs
-
-
-@dataclass(frozen=True)
-class FitResult:
-    """Coefficients of one conditional-expectation fit plus fit diagnostics."""
-
-    coefficients: np.ndarray
-    residual_rms: float
-    condition: float
-    degree: int
-    n_features: int
-
-
-def fit_condexp(features, targets, spec):
-    """Project targets onto the polynomial basis of the features.
-
-    Minimizes the squared residual plus the (scaled) ridge penalty; see
-    BasisSpec.  Deterministic: identical inputs give identical coefficients.
-    """
-    design = expand_features(features, spec.degree)
-    solver = DesignSolver(design, spec.ridge)
-    coeffs = solver.solve(targets)
-    resid = np.asarray(targets, dtype=float) - solver.fitted(coeffs)
-    return FitResult(
-        coefficients=coeffs,
-        residual_rms=float(np.sqrt(np.mean(resid**2))),
-        condition=solver.condition,
-        degree=spec.degree,
-        n_features=np.atleast_2d(np.asarray(features, dtype=float)).shape[1],
-    )
-
-
-def predict(fit, features):
-    """Evaluate a fit on one feature row or a batch of rows."""
-    features = np.asarray(features, dtype=float)
-    single = features.ndim == 1
-    if np.atleast_2d(features).shape[1] != fit.n_features:
-        raise ValueError(
-            f"feature dimension mismatch: got {np.atleast_2d(features).shape[1]}, "
-            f"fit expects {fit.n_features}"
-        )
-    design = expand_features(features, fit.degree)
-    out = design @ fit.coefficients
-    return out[0] if single else out

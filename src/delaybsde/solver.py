@@ -36,7 +36,7 @@ import numpy as np
 
 from .constants import StructuralParams, constants_report
 from .forward import bundle_from_increments, simulate_forward
-from .measures import DelayMeasure, _row_weights, cell_weights
+from .measures import DelayMeasure, cell_weights
 from .regression import BasisSpec, DesignSolver, expand_features
 
 __all__ = [
@@ -44,7 +44,6 @@ __all__ = [
     "SolutionBundle",
     "VariationalBundle",
     "FdReport",
-    "discrete_theta",
     "picard_solve",
     "variational_solve",
     "representation_z",
@@ -152,85 +151,20 @@ def _cached_weights(measure, grid_bytes):
     return weights
 
 
-def discrete_theta(i, forward, y, z, alpha_x, alpha_y, alpha_z):
-    """Delayed convolutions (xdel, ydel, zdel) at node i, per path.
-
-    Weights are interval masses over grid cells shifted by -t_i; nodes whose
-    cell lies before time 0 contribute zero (zero extension of all paths).
-    """
-    grid = forward.grid
-    wx, wy, wz = (_row_weights(m, grid, i) for m in (alpha_x, alpha_y, alpha_z))
-    n = len(wx)
-    xdel = np.tensordot(wx, forward.x[:, :n], axes=(0, 1))
-    ydel = np.tensordot(wy, y[:, :n], axes=(0, 1))
-    zdel = np.tensordot(wz, z[:, :n], axes=(0, 1))
-    return xdel, ydel, zdel
-
-
-class _FeatureBuilder:
-    """Assembles the regression features for one node.
+def _solve_setup(problem, forward, basis):
+    """Cell weights, delayed forward state and regression features of one solve.
 
     Selected features with zero-mass delay measures are dropped: their
-    convolutions vanish identically and would only burn basis size.
+    convolutions vanish identically and would only burn basis size.  When
+    none is left the state alone is used.
     """
-
-    def __init__(self, spec, forward, xdel_all, alpha_x, alpha_y, alpha_z):
-        self.spec = spec
-        self.forward = forward
-        self.xdel_all = xdel_all
-        self.active = []
-        for name in spec.features:
-            if name == "x":
-                self.active.append("x")
-            elif name == "xdel" and not alpha_x.is_zero:
-                self.active.append("xdel")
-            elif name == "ydel" and not alpha_y.is_zero:
-                self.active.append("ydel")
-            elif name == "zdel" and not alpha_z.is_zero:
-                self.active.append("zdel")
-            elif name == "x_lags" and alpha_x.atoms:
-                self.active.append("x_lags")
-        if not self.active:
-            self.active = ["x"]
-        self._lag_index = None
-        if "x_lags" in self.active:
-            grid = forward.grid
-            self._lag_index = []
-            for loc, _ in alpha_x.atoms:
-                idx = np.searchsorted(grid, grid + loc + 1e-12, side="right") - 1
-                self._lag_index.append(idx)
-
-    def at(self, i, ydel_all, zdel_all):
-        m_paths = self.forward.x.shape[0]
-        cols = []
-        for name in self.active:
-            if name == "x":
-                cols.append(self.forward.x[:, i])
-            elif name == "xdel":
-                cols.append(self.xdel_all[:, i])
-            elif name == "ydel":
-                cols.append(ydel_all[:, i])
-            elif name == "zdel":
-                cols.append(zdel_all[:, i].reshape(m_paths, -1))
-            elif name == "x_lags":
-                for idx in self._lag_index:
-                    j = idx[i]
-                    if j < 0:
-                        cols.append(np.zeros((m_paths, self.forward.x.shape[2])))
-                    else:
-                        cols.append(self.forward.x[:, j])
-        return np.concatenate(cols, axis=1)
-
-
-def _solve_setup(problem, forward, basis):
-    """Cell weights, delayed forward state and feature builder of one solve."""
     grid_bytes = np.asarray(forward.grid, dtype=float).tobytes()
-    wx, wy, wz = (_cached_weights(m, grid_bytes)
-                  for m in (problem.alpha_x, problem.alpha_y, problem.alpha_z))
+    measures = (problem.alpha_x, problem.alpha_y, problem.alpha_z)
+    wx, wy, wz = (_cached_weights(m, grid_bytes) for m in measures)
     xdel_all = _convolve_nodes(wx, forward.x)
-    builder = _FeatureBuilder(basis, forward, xdel_all,
-                              problem.alpha_x, problem.alpha_y, problem.alpha_z)
-    return wx, wy, wz, xdel_all, builder
+    dropped = {name for name, m in zip(("xdel", "ydel", "zdel"), measures) if m.is_zero}
+    features = [name for name in basis.features if name not in dropped] or ["x"]
+    return wx, wy, wz, xdel_all, features
 
 
 def _suffix_sums(terminal_vals, f_all, dt):
@@ -247,32 +181,37 @@ def _suffix_sums(terminal_vals, f_all, dt):
     return suffix
 
 
-def _run_sweeps(grid, dw, terminal_vals, dim_ctrl, conv, driver_all, features_at, basis,
+def _run_sweeps(forward, terminal_vals, wy, wz, driver_all, xdel_all, features, basis,
                 max_sweeps, tol):
     """Shared Picard engine for the base and the variational solves.
 
-    conv(y, z) -> (ydel_all, zdel_all); driver_all(ydel_all, zdel_all) ->
-    per-node driver values (M, N+1, m); features_at(i, ydel_all, zdel_all) ->
-    (M, F).  Sweeps stop once the max-node RMS update of both components
-    drops below tol.
+    wy, wz: cell weights of the delayed value and control convolutions;
+    driver_all(ydel_all, zdel_all) -> per-node driver values (M, N+1, m);
+    features: names of the regression features, read at each node from the
+    state, xdel_all and the current sweep's convolutions.  Sweeps stop once
+    the max-node RMS update of both components drops below tol.
     """
+    grid, dw = forward.grid, forward.dw
     n = len(grid) - 1
     dt = np.diff(grid)
     m_paths, dim_y = terminal_vals.shape
+    dim_ctrl = dw.shape[2]
     y = np.zeros((m_paths, n + 1, dim_y))
     z = np.zeros((m_paths, n + 1, dim_y, dim_ctrl))
     diffs_y, diffs_z = [], []
     sweeps = 0
     for _ in range(max_sweeps):
-        ydel_all, zdel_all = conv(y, z)
+        ydel_all, zdel_all = _convolve_nodes(wy, y), _convolve_nodes(wz, z)
         f_all = driver_all(ydel_all, zdel_all)
+        named = {"x": forward.x, "xdel": xdel_all, "ydel": ydel_all, "zdel": zdel_all}
+        columns = [named[name] for name in features]
         suffix = _suffix_sums(terminal_vals, f_all, dt)
         y_new = np.zeros_like(y)
         z_new = np.zeros_like(z)
         y_new[:, n] = terminal_vals
         yhat_next = terminal_vals
         for i in range(n - 1, -1, -1):
-            feats = features_at(i, ydel_all, zdel_all)
+            feats = np.concatenate([c[:, i].reshape(m_paths, -1) for c in columns], axis=1)
             try:
                 solver = DesignSolver(expand_features(feats, basis.degree), basis.ridge)
             except ValueError as exc:
@@ -312,13 +251,10 @@ def picard_solve(problem, forward, basis=None, max_sweeps=8, tol=1e-3):
     """
     basis = basis or BasisSpec()
     grid = forward.grid
-    _, wy, wz, xdel_all, builder = _solve_setup(problem, forward, basis)
+    _, wy, wz, xdel_all, features = _solve_setup(problem, forward, basis)
     terminal_vals = problem.terminal.value(forward.x[:, -1])
     driver = problem.driver
     n = len(grid) - 1
-
-    def conv(y, z):
-        return _convolve_nodes(wy, y), _convolve_nodes(wz, z)
 
     def driver_all(ydel_all, zdel_all):
         out = np.zeros((forward.n_paths, n + 1, problem.dim_y))
@@ -327,8 +263,7 @@ def picard_solve(problem, forward, basis=None, max_sweeps=8, tol=1e-3):
         return out
 
     y, z, diffs_y, diffs_z, sweeps = _run_sweeps(
-        grid, forward.dw, terminal_vals, problem.dim_x, conv, driver_all,
-        builder.at, basis, max_sweeps, tol,
+        forward, terminal_vals, wy, wz, driver_all, xdel_all, features, basis, max_sweeps, tol,
     )
     report = constants_report(problem.structural_params())
     feasibility = {
@@ -355,7 +290,7 @@ def variational_solve(problem, forward, base, h, basis=None, max_sweeps=8, tol=1
     h = np.asarray(h, dtype=float)
     grid = forward.grid
     n = len(grid) - 1
-    wx, wy, wz, xdel_all, builder = _solve_setup(problem, forward, basis)
+    wx, wy, wz, xdel_all, features = _solve_setup(problem, forward, basis)
     ydel_base = _convolve_nodes(wy, base.y)
     zdel_base = _convolve_nodes(wz, base.z)
     grad_x_h = np.einsum("pijk,k->pij", forward.grad_x, h)
@@ -375,9 +310,6 @@ def variational_solve(problem, forward, base, h, basis=None, max_sweeps=8, tol=1
         "pmd,pdk,k->pm", problem.terminal.grad(forward.x[:, -1]), forward.grad_x[:, -1], h
     )
 
-    def conv(p, q):
-        return _convolve_nodes(wy, p), _convolve_nodes(wz, q)
-
     def driver_all(pdel_all, qdel_all):
         out = const_all.copy()
         out += np.einsum("pjmk,pjk->pjm", grad_y_all, pdel_all)
@@ -385,8 +317,7 @@ def variational_solve(problem, forward, base, h, basis=None, max_sweeps=8, tol=1
         return out
 
     p, q, diffs_p, diffs_q, sweeps = _run_sweeps(
-        grid, forward.dw, terminal_vals, problem.dim_x, conv, driver_all,
-        builder.at, basis, max_sweeps, tol,
+        forward, terminal_vals, wy, wz, driver_all, xdel_all, features, basis, max_sweeps, tol,
     )
     return VariationalBundle(
         direction=h, grad_x_h=grad_x_h, p=p, q=q,

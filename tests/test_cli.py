@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from delaybsde.cli import _fmt, main
+from delaybsde.cli import _fmt, _meshes, build_parser, main
 from delaybsde.config import ConfigError, build_problem, load_config, validate_config
 from delaybsde.constants import (
     apriori_constant,
@@ -347,6 +347,57 @@ class TestOverrideValidation:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["seed"] == 2**64 - 1
         assert manifest["overrides"] == {"paths": 80, "steps": 5, "picard": 2, "tol": 1e-12}
+
+
+
+class TestBasisFeatureValidation:
+    @pytest.mark.parametrize("features, message", [
+        (["X", "ydel"], "features/0: 'X' is not one of ['x', 'xdel', 'ydel', 'zdel']"),
+        (["x", "x_lags"], "features/1: 'x_lags' is not one of ['x', 'xdel', 'ydel', 'zdel']"),
+        (["x", "x"], "features: ['x', 'x'] has non-unique elements"),
+        ([], "features: []"),
+    ])
+    def test_bad_features_exit_2_before_writing(self, tmp_path, capsys, features, message):
+        cfg = base_config()
+        cfg["solver"]["basis"] = {"features": features}
+        out = tmp_path / "out"
+        assert main(["solve", "--config", write_config(tmp_path, cfg), "--out", str(out)]) == 2
+        assert f"config invalid at solver/basis/{message}" in capsys.readouterr().err
+        assert not out.exists()
+
+
+def l2reg_config(**study):
+    cfg = base_config()
+    cfg["study"] = {"reference_steps": 16, **study}
+    return cfg
+
+
+class TestMeshValidation:
+    @pytest.mark.parametrize("study, flag, message", [
+        ({}, "0,4,8", "--meshes 0,4,8: 0 is less than the minimum of 2"),
+        ({}, "1,4,8", "--meshes 1,4,8: 1 is less than the minimum of 2"),
+        ({}, "3,4,8", "--meshes 3,4,8: mesh 3 does not divide reference_steps 16"),
+        ({}, "4,8", "--meshes 4,8: need at least three meshes"),
+        ({"meshes": [2, 4, 8]}, "4,8", "--meshes 4,8: need at least three meshes"),
+        ({"meshes": [3, 4, 8]}, None, "study/meshes: mesh 3 does not divide reference_steps 16"),
+        ({"meshes": [4, 8]}, None, "study/meshes: need at least three meshes"),
+        ({}, None, "study/meshes: mesh 10 does not divide reference_steps 16"),
+        ({"meshes": [1, 4, 8]}, None, "config invalid at study/meshes/0: 1 is less than"),
+    ])
+    def test_bad_meshes_exit_2_before_writing(self, tmp_path, capsys, study, flag, message):
+        out = tmp_path / "out"
+        argv = ["study-l2reg", "--config", write_config(tmp_path, l2reg_config(**study)),
+                "--out", str(out)]
+        assert main(argv + (["--meshes", flag] if flag else [])) == 2
+        assert f"config error: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag", [None, "10,20,40,80"])
+    def test_benchmark_meshes_on_a_320_step_mesh_pass(self, flag):
+        cfg = l2reg_config(meshes=[10, 20, 40, 80], reference_steps=320)
+        args = build_parser().parse_args(
+            ["study-l2reg", "--config", "unused.json"] + (["--meshes", flag] if flag else []))
+        assert _meshes(cfg, args) == ([10, 20, 40, 80], 320)
 
 
 def scan_config(**overrides):

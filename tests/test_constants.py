@@ -197,6 +197,15 @@ class TestMassBounds:
         a = atom_measure(1.0, -0.25)
         assert max_weighted_mass(z, a, 2.0) == pytest.approx(np.exp(0.5), rel=1e-12)
 
+    def test_array_beta_equals_number_calls(self):
+        a = atom_measure(1.0, -0.5)
+        b = DelayMeasure(1.0, density_pieces=((-0.8, -0.1, 1.5),))
+        betas = np.array([[0.0, 1e-9], [0.5, 30.0]])
+        out = max_weighted_mass(a, b, betas)
+        assert out.shape == betas.shape
+        expected = [[max_weighted_mass(a, b, float(x)) for x in row] for row in betas]
+        assert np.array_equal(out, expected)
+
 
 class TestBdgConstant:
     def test_spot_value_p4_m1(self):

@@ -2,12 +2,11 @@ import numpy as np
 import pytest
 
 from delaybsde.regression import (
+    FEATURES,
     BasisSpec,
     DesignSolver,
     _exponents,
     expand_features,
-    fit_condexp,
-    predict,
 )
 
 
@@ -17,6 +16,13 @@ def gaussian_pair(m, t, T, seed=0):
     w_t = rng.normal(0.0, np.sqrt(t), m)
     w_T = w_t + rng.normal(0.0, np.sqrt(T - t), m)
     return w_t, w_T
+
+
+def fit(features, targets, degree=2, ridge=1e-8):
+    """Coefficients and fitted values of targets on the polynomial basis of features."""
+    solver = DesignSolver(expand_features(features, degree), ridge)
+    coeffs = solver.solve(targets)
+    return coeffs, solver.fitted(coeffs)
 
 
 def column_builder(features, degree):
@@ -132,27 +138,41 @@ class TestCholeskyAgainstSvd:
             DesignSolver(self._ill_conditioned(), ridge=1e-300)
 
 
+class TestBasisSpec:
+    def test_default_selects_every_feature(self):
+        assert BasisSpec().features == FEATURES
+
+    @pytest.mark.parametrize("features, message", [
+        (("X",), "unknown basis feature 'X'"),
+        (("x", "x_lags"), "unknown basis feature 'x_lags'"),
+        (("x", "x"), "basis features repeat"),
+        ((), "at least one feature"),
+    ])
+    def test_bad_feature_lists_rejected(self, features, message):
+        with pytest.raises(ValueError, match=message):
+            BasisSpec(features=features)
+
+
 class TestFit:
     def test_constant_target_recovered(self):
         rng = np.random.default_rng(1)
         feats = rng.normal(size=(500, 2))
-        fit = fit_condexp(feats, np.full(500, 5.0), BasisSpec(degree=2))
-        assert predict(fit, feats[0]) == pytest.approx(5.0, rel=1e-6)
-        assert fit.residual_rms < 1e-6
+        _, fitted = fit(feats, np.full(500, 5.0))
+        assert fitted[0] == pytest.approx(5.0, rel=1e-6)
+        assert np.sqrt(np.mean((fitted - 5.0) ** 2)) < 1e-6
 
     def test_martingale_projection_slope(self):
         m, t, T = 10_000, 0.3, 1.0
         w_t, w_T = gaussian_pair(m, t, T, seed=2)
-        fit = fit_condexp(w_t[:, None], w_T, BasisSpec(degree=1, ridge=0.0))
-        slope = fit.coefficients[1]
+        coeffs, _ = fit(w_t[:, None], w_T, degree=1, ridge=0.0)
+        slope = coeffs[1]
         se = 1.0 / np.sqrt(m * t)
         assert abs(slope - 1.0) < 3 * np.sqrt(T - t) * se
 
     def test_gaussian_conditional_second_moment(self):
         m, t, T = 10_000, 0.4, 1.0
         w_t, w_T = gaussian_pair(m, t, T, seed=3)
-        fit = fit_condexp(w_t[:, None], w_T**2, BasisSpec(degree=2, ridge=0.0))
-        const, lin, quad = fit.coefficients
+        (const, lin, quad), _ = fit(w_t[:, None], w_T**2, degree=2, ridge=0.0)
         assert abs(quad - 1.0) < 0.1
         assert abs(lin) < 0.1
         assert abs(const - (T - t)) < 0.05
@@ -172,64 +192,55 @@ class TestFit:
         rng = np.random.default_rng(5)
         feats = rng.normal(size=(800, 3))
         targets = rng.normal(size=800)
-        a = fit_condexp(feats, targets, BasisSpec())
-        b = fit_condexp(feats, targets, BasisSpec())
-        assert np.array_equal(a.coefficients, b.coefficients)
+        a, _ = fit(feats, targets)
+        b, _ = fit(feats, targets)
+        assert np.array_equal(a, b)
 
     def test_rank_deficient_without_ridge_raises(self):
         feats = np.ones((200, 2))  # constant columns duplicate the intercept
         with pytest.raises(ValueError, match="ridge"):
-            fit_condexp(feats, np.ones(200), BasisSpec(degree=1, ridge=0.0))
+            fit(feats, np.ones(200), degree=1, ridge=0.0)
 
     def test_rank_deficient_with_ridge_shrinks_to_mean(self):
         feats = np.ones((200, 2))
-        fit = fit_condexp(feats, np.full(200, 3.0), BasisSpec(degree=1, ridge=1e-8))
-        assert predict(fit, feats[0]) == pytest.approx(3.0, rel=1e-6)
+        _, fitted = fit(feats, np.full(200, 3.0), degree=1, ridge=1e-8)
+        assert fitted[0] == pytest.approx(3.0, rel=1e-6)
 
     def test_underdetermined_guard(self):
         feats = np.random.default_rng(0).normal(size=(40, 3))
         with pytest.raises(ValueError, match="basis size"):
-            fit_condexp(feats, np.zeros(40), BasisSpec(degree=2))
+            fit(feats, np.zeros(40), degree=2)
 
     def test_predictions_affine_in_targets(self):
         rng = np.random.default_rng(7)
         feats = rng.normal(size=(600, 2))
         y1 = rng.normal(size=600)
         y2 = rng.normal(size=600)
-        spec = BasisSpec(degree=2)
-        combo = fit_condexp(feats, 2.0 * y1 - 3.0 * y2, spec)
-        parts = 2.0 * fit_condexp(feats, y1, spec).coefficients \
-            - 3.0 * fit_condexp(feats, y2, spec).coefficients
-        assert np.allclose(combo.coefficients, parts, atol=1e-12)
+        combo, _ = fit(feats, 2.0 * y1 - 3.0 * y2)
+        parts = 2.0 * fit(feats, y1)[0] - 3.0 * fit(feats, y2)[0]
+        assert np.allclose(combo, parts, atol=1e-12)
 
     def test_multi_target_columns(self):
         rng = np.random.default_rng(6)
         feats = rng.normal(size=(500, 1))
         targets = np.column_stack([feats[:, 0], 2.0 * feats[:, 0]])
-        fit = fit_condexp(feats, targets, BasisSpec(degree=1))
-        preds = predict(fit, feats)
-        assert np.allclose(preds[:, 1], 2.0 * preds[:, 0], atol=1e-8)
+        _, fitted = fit(feats, targets, degree=1)
+        assert np.allclose(fitted[:, 1], 2.0 * fitted[:, 0], atol=1e-8)
 
 
 class TestPredict:
     def test_linear_fit_pass_through(self):
         feats = np.linspace(-1, 1, 200)[:, None]
-        fit = fit_condexp(feats, feats[:, 0], BasisSpec(degree=1, ridge=0.0))
-        assert predict(fit, np.array([0.3])) == pytest.approx(0.3, abs=1e-10)
-
-    def test_dimension_mismatch_rejected(self):
-        feats = np.random.default_rng(0).normal(size=(200, 2))
-        fit = fit_condexp(feats, feats[:, 0], BasisSpec(degree=1))
-        with pytest.raises(ValueError, match="dimension mismatch"):
-            predict(fit, np.ones(3))
+        coeffs, _ = fit(feats, feats[:, 0], degree=1, ridge=0.0)
+        new_row = expand_features(np.array([[0.3]]), 1)
+        assert (new_row @ coeffs)[0] == pytest.approx(0.3, abs=1e-10)
 
     def test_same_features_same_prediction(self):
         rng = np.random.default_rng(8)
         feats = rng.normal(size=(300, 2))
         feats[10] = feats[0]  # duplicated row
-        fit = fit_condexp(feats, rng.normal(size=300), BasisSpec())
-        preds = predict(fit, feats)
-        assert preds[10] == preds[0]
+        _, fitted = fit(feats, rng.normal(size=300))
+        assert fitted[10] == fitted[0]
 
 
 class TestTowerConsistency:
@@ -240,10 +251,9 @@ class TestTowerConsistency:
         w_s = rng.normal(0.0, np.sqrt(s), m)
         w_t = w_s + rng.normal(0.0, np.sqrt(t - s), m)
         w_T = w_t + rng.normal(0.0, np.sqrt(T - t), m)
-        spec = BasisSpec(degree=2, ridge=0.0)
-        inner = predict(fit_condexp(w_t[:, None], w_T**2, spec), w_t[:, None])
-        two_step = predict(fit_condexp(w_s[:, None], inner, spec), w_s[:, None])
-        direct = predict(fit_condexp(w_s[:, None], w_T**2, spec), w_s[:, None])
+        _, inner = fit(w_t[:, None], w_T**2, degree=2, ridge=0.0)
+        _, two_step = fit(w_s[:, None], inner, degree=2, ridge=0.0)
+        _, direct = fit(w_s[:, None], w_T**2, degree=2, ridge=0.0)
         rms = np.sqrt(np.mean((two_step - direct) ** 2))
         se = np.std(w_T**2) / np.sqrt(m)
         assert rms < 3 * se + 0.02

@@ -4,14 +4,13 @@ import pytest
 from delaybsde import forward as forward_module
 from delaybsde.forward import SdeCoefficients, make_forward, simulate_forward
 from delaybsde.generators import make_driver, make_terminal
-from delaybsde.measures import DelayMeasure, cell_weights
+from delaybsde.measures import DelayMeasure, _row_weights, cell_weights
 from delaybsde.regression import BasisSpec
 from delaybsde import solver as solver_module
 from delaybsde.solver import (
     DelayFbsdeProblem,
     _convolve_nodes,
     _suffix_sums,
-    discrete_theta,
     fd_directional_check,
     picard_solve,
     representation_z,
@@ -55,13 +54,17 @@ def solve(prob, n_steps=20, n_paths=4000, seed=3, basis=None, sweeps=8, tol=1e-4
     return fwd, sol
 
 
+def theta(prob, fwd, sol):
+    """Delayed convolutions (xdel, ydel, zdel) at every node, as the solver forms them."""
+    pairs = ((prob.alpha_x, fwd.x), (prob.alpha_y, sol.y), (prob.alpha_z, sol.z))
+    return [_convolve_nodes(cell_weights(m, fwd.grid), v) for m, v in pairs]
+
+
 class TestDiscreteTheta:
     def test_zero_measures_give_zero(self):
         prob = problem(make_driver("zero"), make_terminal("identity"))
         fwd, sol = solve(prob, n_steps=8, n_paths=64)
-        xdel, ydel, zdel = discrete_theta(
-            4, fwd, sol.y, sol.z, prob.alpha_x, prob.alpha_y, prob.alpha_z
-        )
+        xdel, ydel, zdel = (conv[:, 4] for conv in theta(prob, fwd, sol))
         assert not xdel.any() and not ydel.any() and not zdel.any()
 
     def test_atom_lands_in_one_shifted_cell(self):
@@ -79,10 +82,8 @@ class TestDiscreteTheta:
         weights = cell_weights(measure, grid)
         # at the terminal node the full density window is reachable
         assert weights[-1].sum() == pytest.approx(0.5)
-        const_y = np.ones((8, 21, 1))
-        fwd, _ = (None, None)
-        total = weights[-1] @ const_y[0, :20, 0]
-        assert total == pytest.approx(0.5)
+        conv = _convolve_nodes(weights, np.ones((8, 21, 1)))
+        assert np.allclose(conv[:, -1], 0.5, rtol=1e-12, atol=0.0)
 
     def test_one_step_lag_weights_are_subdiagonal(self):
         n = 10
@@ -117,18 +118,19 @@ class TestNodeConvolution:
         assert not out.any()
 
     def test_discrete_theta_is_a_row_of_the_full_convolutions(self):
+        # node i of the solver's convolutions equals the sum over the row of
+        # cell weights at t_i, formed node by node
         alpha_y = DelayMeasure(T, atoms=((-0.1, 0.5),), density_pieces=((-0.4, -0.15, 1.0),))
         alpha_z = lag_atom(-0.125)
         prob = problem(make_driver("linear_ydel", {"coeff": 0.2, "lipschitz": 0.2}),
                        make_terminal("identity"), alpha_x=lag_atom(-0.25),
                        alpha_y=alpha_y, alpha_z=alpha_z)
         fwd, sol = solve(prob, n_steps=16, n_paths=200, sweeps=2)
-        grid = fwd.grid
-        full = [_convolve_nodes(cell_weights(m, grid), v) for m, v in
-                ((prob.alpha_x, fwd.x), (alpha_y, sol.y), (alpha_z, sol.z))]
+        full = theta(prob, fwd, sol)
         for i in (0, 5, 16):
-            rows = discrete_theta(i, fwd, sol.y, sol.z, prob.alpha_x, alpha_y, alpha_z)
-            for row, conv in zip(rows, full):
+            for m, v, conv in zip((prob.alpha_x, alpha_y, alpha_z), (fwd.x, sol.y, sol.z), full):
+                weights = _row_weights(m, fwd.grid, i)
+                row = np.tensordot(weights, v[:, : len(weights)], axes=(0, 1))
                 assert np.allclose(row, conv[:, i], rtol=0.0, atol=1e-13)
 
     def test_weights_built_once_per_measure_and_grid(self, monkeypatch):
@@ -247,10 +249,8 @@ class TestPicardSolve:
             alpha_z=DelayMeasure(T, atoms=((-dt, 1.0),)),
         )
         fwd, sol = solve(prob, n_steps=n, n_paths=3000, sweeps=6, tol=1e-12)
-        _, _, zdel = discrete_theta(
-            5, fwd, sol.y, sol.z, prob.alpha_x, prob.alpha_y, prob.alpha_z
-        )
-        assert np.array_equal(zdel, sol.z[:, 4])
+        zdel = theta(prob, fwd, sol)[2]
+        assert np.array_equal(zdel[:, 5], sol.z[:, 4])
 
     def test_infeasible_constants_do_not_block_solving(self):
         prob = problem(
@@ -302,17 +302,18 @@ class TestPicardSolve:
             loop[:, i] = loop[:, i + 1] + f_all[:, i] * dt[i]
         assert np.array_equal(_suffix_sums(terminal_vals, f_all, dt), loop)
 
-    def test_atom_lag_features_are_usable(self):
-        prob = problem(
-            make_driver("zero"),
-            make_terminal("identity"),
-            alpha_x=lag_atom(),
-        )
-        fwd, sol = solve(prob, n_steps=10, n_paths=1000,
-                         basis=BasisSpec(features=("x", "x_lags")), sweeps=3)
-        assert np.isfinite(sol.y).all()
 
-
+class TestFeatureSelection:
+    @pytest.mark.parametrize("features, expected", [
+        (("zdel", "x", "ydel", "xdel"), ["zdel", "x"]),
+        (("ydel", "xdel"), ["x"]),
+    ])
+    def test_zero_mass_features_dropped_in_order(self, features, expected):
+        # only alpha_z has mass, so xdel and ydel vanish identically
+        prob = problem(make_driver("zero"), make_terminal("identity"), alpha_z=lag_atom())
+        fwd = simulate_forward(prob.forward, prob.x0, np.linspace(0.0, T, 5), 20, 0)
+        setup = solver_module._solve_setup(prob, fwd, BasisSpec(features=features))
+        assert setup[-1] == expected
 class TestVariational:
     def test_identity_terminal_gives_unit_derivative(self):
         prob = problem(make_driver("zero"), make_terminal("identity"))
