@@ -216,7 +216,11 @@ def cmd_variational(args):
 
 
 def cmd_compare_z(args):
-    cfg, out_dir = _prepare(args, "compare-z")
+    cfg = _load(args)
+    steps = solver_settings(cfg, vars(args))["steps"]
+    if steps < 2:
+        raise ConfigError(f"compare-z needs at least 2 steps for an interior node, got {steps}")
+    cfg, out_dir = _prepare(args, "compare-z", cfg)
     problem, settings, forward, solution = _solve_from_config(cfg, args)
     z_rep = representation_z(forward, _variationals(problem, settings, forward, solution),
                              problem.forward)
@@ -234,10 +238,14 @@ def cmd_compare_z(args):
 
 
 def cmd_fd_check(args):
-    cfg, out_dir = _prepare(args, "fd-check")
-    problem, settings, seed = _setup(cfg, args)
+    cfg = _load(args)
     study = cfg.get("study", {})
-    h = np.asarray(study.get("fd_direction", [1.0] * problem.dim_x), dtype=float)
+    dim_x = int(cfg.get("dim_x", 1))
+    h = np.asarray(study.get("fd_direction", [1.0] * dim_x), dtype=float)
+    if len(h) != dim_x:
+        raise ConfigError(f"study/fd_direction: need dim_x={dim_x} entries, got {len(h)}")
+    cfg, out_dir = _prepare(args, "fd-check", cfg)
+    problem, settings, seed = _setup(cfg, args)
     epsilons = study.get("fd_epsilons", [0.5, 0.25, 0.125])
     report = fd_directional_check(
         problem, h, epsilons, settings["paths"], settings["steps"], seed,
@@ -275,16 +283,24 @@ def cmd_study_picard(args):
 
 
 def _separations(cfg, args):
-    """Study separations checked against the grid; 1, 2, 4 and 8 steps by default."""
+    """Study separations checked against the grid; 1, 2, 4 and 8 steps by default.
+
+    Like the meshes of study-l2reg, a rate fit needs at least three.
+    """
     steps = solver_settings(cfg, vars(args))["steps"]
     dt = float(cfg["horizon"]) / steps
     seps = cfg.get("study", {}).get("separations")
     if seps is None:
-        return [k * dt for k in (1, 2, 4, 8) if k <= steps]
-    try:
-        separation_steps(seps, dt, steps)
-    except ValueError as exc:
-        raise ConfigError(f"study/separations: {exc}") from None
+        seps = [k * dt for k in (1, 2, 4, 8) if k <= steps]
+        where = f"default separations at {steps} steps"
+    else:
+        where = "study/separations"
+        try:
+            separation_steps(seps, dt, steps)
+        except ValueError as exc:
+            raise ConfigError(f"{where}: {exc}") from None
+    if len(seps) < 3:
+        raise ConfigError(f"{where}: need at least three separations for a rate fit")
     return seps
 
 

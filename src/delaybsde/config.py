@@ -46,6 +46,10 @@ _MEASURE_ENTRY = {
 
 _MEASURE = {"type": "array", "items": _MEASURE_ENTRY}
 
+# perturbation sizes: a zero size divides by zero or gives an infinite ratio
+_NONZERO_LIST = {"type": "array", "items": {"type": "number", "not": {"const": 0}},
+                 "minItems": 1}
+
 
 def _grid_range(end):
     """[lo, hi, n] of a linspace scan grid: both ends match end, n is a positive integer."""
@@ -142,11 +146,11 @@ CONFIG_SCHEMA = {
                 "moment_p": {"type": "number", "minimum": 2},
                 "target_slope": {"type": "number"},
                 "slope_tol": {"type": "number", "exclusiveMinimum": 0},
-                "epsilons": {"type": "array", "items": {"type": "number"}},
+                "epsilons": _NONZERO_LIST,
                 "terminal_shift": {"type": "number"},
                 "driver_shift": {"type": "number"},
                 "fd_direction": {"type": "array", "items": {"type": "number"}},
-                "fd_epsilons": {"type": "array", "items": {"type": "number"}},
+                "fd_epsilons": _NONZERO_LIST,
             },
             "additionalProperties": False,
         },
@@ -156,10 +160,6 @@ CONFIG_SCHEMA = {
 }
 
 _VALIDATOR = Draft7Validator(CONFIG_SCHEMA)
-
-_PRESET_PARAM_KEYS = ("mu", "nu", "rate", "vol", "coeff", "const",
-                      "coeff_x", "coeff_y", "coeff_z", "lipschitz",
-                      "offset", "slope", "value")
 
 
 def _check_finite(node, where):
@@ -219,7 +219,8 @@ def _measure_from(cfg, key, horizon):
 
 
 def _preset_params(section):
-    return {k: v for k, v in section.items() if k in _PRESET_PARAM_KEYS}
+    """Every key of a coefficient section but preset and x0; the schema limits the keys."""
+    return {k: v for k, v in section.items() if k not in ("preset", "x0")}
 
 
 def build_problem(cfg):

@@ -38,12 +38,14 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SdeCoefficients:
-    """Drift, diffusion and their spatial gradients, vectorized over paths.
+    """Drift, diffusion and their spatial gradients, vectorized over states.
 
-    Shapes with a batch of M states x of shape (M, d):
-      drift -> (M, d); diffusion -> (M, d, d);
-      grad_drift -> (M, d, d) with [., j, l] = d b_j / d x_l;
-      grad_diffusion -> (M, d, d, d) with [., j, k, l] = d sigma_jk / d x_l.
+    Each takes (t, x) with x of shape (..., d) for any leading batch shape
+    ... (paths, or paths and nodes) and t a number or an array that
+    broadcasts against it; outputs keep the batch shape:
+      drift -> (..., d); diffusion -> (..., d, d);
+      grad_drift -> (..., d, d) with [..., j, l] = d b_j / d x_l;
+      grad_diffusion -> (..., d, d, d) with [..., j, k, l] = d sigma_jk / d x_l.
     """
 
     name: str
@@ -59,14 +61,13 @@ def _brownian(params, dim):
         return np.zeros_like(x)
 
     def diffusion(t, x):
-        m = len(x)
-        return np.broadcast_to(np.eye(dim), (m, dim, dim)).copy()
+        return np.broadcast_to(np.eye(dim), (*x.shape[:-1], dim, dim)).copy()
 
     def grad_drift(t, x):
-        return np.zeros((len(x), dim, dim))
+        return np.zeros((*x.shape[:-1], dim, dim))
 
     def grad_diffusion(t, x):
-        return np.zeros((len(x), dim, dim, dim))
+        return np.zeros((*x.shape[:-1], dim, dim, dim))
 
     return SdeCoefficients("brownian", dim, drift, diffusion, grad_drift, grad_diffusion)
 
@@ -81,13 +82,13 @@ def _gbm(params, dim):
         return mu * x
 
     def diffusion(t, x):
-        return nu * x[:, :, None]
+        return nu * x[..., None]
 
     def grad_drift(t, x):
-        return np.full((len(x), 1, 1), mu)
+        return np.full((*x.shape[:-1], 1, 1), mu)
 
     def grad_diffusion(t, x):
-        return np.full((len(x), 1, 1, 1), nu)
+        return np.full((*x.shape[:-1], 1, 1, 1), nu)
 
     return SdeCoefficients("gbm", 1, drift, diffusion, grad_drift, grad_diffusion)
 
@@ -102,13 +103,13 @@ def _linear_drift(params, dim):
         return rate * x
 
     def diffusion(t, x):
-        return np.full((len(x), 1, 1), vol)
+        return np.full((*x.shape[:-1], 1, 1), vol)
 
     def grad_drift(t, x):
-        return np.full((len(x), 1, 1), rate)
+        return np.full((*x.shape[:-1], 1, 1), rate)
 
     def grad_diffusion(t, x):
-        return np.zeros((len(x), 1, 1, 1))
+        return np.zeros((*x.shape[:-1], 1, 1, 1))
 
     return SdeCoefficients("linear_drift", 1, drift, diffusion, grad_drift, grad_diffusion)
 

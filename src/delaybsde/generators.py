@@ -2,9 +2,11 @@
 
 A driver maps (t, xdel, ydel, zdel) to an m-vector, where the three arguments
 are the delayed convolutions of the forward state, the value process and the
-control process.  Presets supply the driver, its partial gradients and a
-declared Lipschitz bound; configs refer to presets by name so that no user
-code ever travels through configuration files.
+control process.  Every coefficient takes states with any leading batch
+shape, so a solver evaluates all paths and nodes in one call.  Presets supply
+the driver, its partial gradients and a declared Lipschitz bound; configs
+refer to presets by name so that no user code ever travels through
+configuration files.
 """
 
 from __future__ import annotations
@@ -28,10 +30,13 @@ __all__ = [
 class Driver:
     """Generator of the backward equation together with its gradients.
 
-    value(t, xdel, ydel, zdel) -> (M, m) with xdel (M, d), ydel (M, m),
-    zdel (M, m, d).  Gradient shapes: grad_x (M, m, d), grad_y (M, m, m),
-    grad_z (M, m, m, d).  lipschitz is the declared squared-Lipschitz bound;
-    sampled difference quotients never exceed it (test-enforced).
+    value(t, xdel, ydel, zdel) -> (..., m) with xdel (..., d), ydel (..., m),
+    zdel (..., m, d), where the leading batch shape ... (paths, or paths and
+    nodes) is the same for all three and t is a number or an array that
+    broadcasts against it.  Gradient shapes: grad_x (..., m, d),
+    grad_y (..., m, m), grad_z (..., m, m, d).  lipschitz is the declared
+    squared-Lipschitz bound; sampled difference quotients never exceed it
+    (test-enforced).
     """
 
     name: str
@@ -48,16 +53,16 @@ def _zero_driver(params, d, m):
     lip = float(params.get("lipschitz", 0.0))
 
     def value(t, xdel, ydel, zdel):
-        return np.zeros((len(xdel), m))
+        return np.zeros((*xdel.shape[:-1], m))
 
     def grad_x(t, xdel, ydel, zdel):
-        return np.zeros((len(xdel), m, d))
+        return np.zeros((*xdel.shape[:-1], m, d))
 
     def grad_y(t, xdel, ydel, zdel):
-        return np.zeros((len(xdel), m, m))
+        return np.zeros((*xdel.shape[:-1], m, m))
 
     def grad_z(t, xdel, ydel, zdel):
-        return np.zeros((len(xdel), m, m, d))
+        return np.zeros((*xdel.shape[:-1], m, m, d))
 
     return Driver("zero", d, m, lip, value, grad_x, grad_y, grad_z)
 
@@ -74,22 +79,22 @@ def _affine_driver(params, d, m):
     lip = float(lip)
 
     def value(t, xdel, ydel, zdel):
-        out = np.full((len(xdel), m), const)
+        out = np.full((*xdel.shape[:-1], m), const)
         out += cx * np.sum(xdel, axis=-1, keepdims=True)
         out += cy * ydel
         out += cz * np.sum(zdel, axis=-1)
         return out
 
     def grad_x(t, xdel, ydel, zdel):
-        return np.full((len(xdel), m, d), cx)
+        return np.full((*xdel.shape[:-1], m, d), cx)
 
     def grad_y(t, xdel, ydel, zdel):
-        return np.broadcast_to(cy * np.eye(m), (len(xdel), m, m)).copy()
+        return np.broadcast_to(cy * np.eye(m), (*xdel.shape[:-1], m, m)).copy()
 
     def grad_z(t, xdel, ydel, zdel):
-        g = np.zeros((len(xdel), m, m, d))
+        g = np.zeros((*xdel.shape[:-1], m, m, d))
         for j in range(m):
-            g[:, j, j, :] = cz
+            g[..., j, j, :] = cz
         return g
 
     name = params.get("_name", "affine")
@@ -126,7 +131,10 @@ def make_driver(preset, params=None, dim_x=1, dim_y=1):
 
 @dataclass(frozen=True)
 class Terminal:
-    """Terminal payoff g and its gradient: value (M, d) -> (M, m), grad -> (M, m, d)."""
+    """Terminal payoff g and its gradient: value (..., d) -> (..., m), grad -> (..., m, d).
+
+    The leading batch shape ... of the states is kept in both outputs.
+    """
 
     name: str
     dim_x: int
@@ -143,7 +151,7 @@ def _identity_terminal(params, d, m):
         return x.copy()
 
     def grad(x):
-        return np.broadcast_to(np.eye(d), (len(x), d, d)).copy()
+        return np.broadcast_to(np.eye(d), (*x.shape[:-1], d, d)).copy()
 
     return Terminal("identity", d, m, value, grad)
 
@@ -158,7 +166,7 @@ def _affine_terminal(params, d, m):
         return offset + slope * np.sum(x, axis=-1, keepdims=True)
 
     def grad(x):
-        return np.full((len(x), 1, d), slope)
+        return np.full((*x.shape[:-1], 1, d), slope)
 
     return Terminal("affine", d, m, value, grad)
 
@@ -167,10 +175,10 @@ def _constant_terminal(params, d, m):
     level = float(params.get("value", 1.0))
 
     def value(x):
-        return np.full((len(x), m), level)
+        return np.full((*x.shape[:-1], m), level)
 
     def grad(x):
-        return np.zeros((len(x), m, d))
+        return np.zeros((*x.shape[:-1], m, d))
 
     return Terminal("constant", d, m, value, grad)
 
@@ -184,7 +192,7 @@ def _quadratic_terminal(params, d, m):
         return np.sum(x**2, axis=-1, keepdims=True)
 
     def grad(x):
-        return 2.0 * x[:, None, :]
+        return 2.0 * x[..., None, :]
 
     return Terminal("quadratic", d, m, value, grad)
 

@@ -22,7 +22,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .generators import Terminal
 from .regression import BasisSpec, DesignSolver, expand_features
 from .solver import picard_solve
 
@@ -300,13 +299,7 @@ def _shift_terminal(terminal, offset):
     def value(x):
         return base_value(x) + offset
 
-    return Terminal(
-        name=f"{terminal.name}+const",
-        dim_x=terminal.dim_x,
-        dim_y=terminal.dim_y,
-        value=value,
-        grad=terminal.grad,
-    )
+    return replace(terminal, name=f"{terminal.name}+const", value=value)
 
 
 def _shift_driver(driver, offset):
@@ -323,8 +316,10 @@ def moment_check(problem, forward, solution, p=None, cp=None):
 
     Reports the weighted sup and time-integral norms of (Y, Z), the data
     functional built from the terminal value and the driver at the zero
-    state, and their ratio.  When a finite a priori constant is supplied the
-    bound lhs <= cp * rhs is asserted in the report.
+    state (like the terminal term, raised to the power p/2, so the ratio
+    does not change when the data are scaled), and their ratio.  When a
+    finite a priori constant is supplied the bound lhs <= cp * rhs is
+    asserted in the report.
     """
     p = p or problem.p
     beta = problem.beta
@@ -335,16 +330,10 @@ def moment_check(problem, forward, solution, p=None, cp=None):
     term = float(np.mean(
         (np.exp(beta * grid[-1]) * np.sum(solution.y[:, -1] ** 2, axis=-1)) ** (p / 2.0)
     ))
-    n = len(grid) - 1
-    m_paths = forward.n_paths
-    f0 = np.zeros((m_paths, n))
-    zeros_x = np.zeros((m_paths, problem.dim_x))
-    zeros_y = np.zeros((m_paths, problem.dim_y))
-    zeros_z = np.zeros((m_paths, problem.dim_y, problem.dim_x))
-    for j in range(n):
-        fj = problem.driver.value(grid[j], zeros_x, zeros_y, zeros_z)
-        f0[:, j] = np.sqrt(np.sum(fj**2, axis=-1))
-    drv = float(np.mean(np.tensordot(np.exp(beta * grid[:-1]) * dt, f0**2, axes=(0, 1)) ** p))
+    n, dim_x, dim_y = len(dt), problem.dim_x, problem.dim_y
+    f0 = problem.driver.value(grid[:-1], np.zeros((n, dim_x)), np.zeros((n, dim_y)),
+                              np.zeros((n, dim_y, dim_x)))
+    drv = float(np.dot(np.exp(beta * grid[:-1]) * dt, np.sum(f0**2, axis=-1)) ** (p / 2.0))
     rhs = term + drv
     report = {
         "s_norm_y": s_n,

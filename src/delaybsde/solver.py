@@ -186,7 +186,8 @@ def _run_sweeps(forward, terminal_vals, wy, wz, driver_all, xdel_all, features, 
     """Shared Picard engine for the base and the variational solves.
 
     wy, wz: cell weights of the delayed value and control convolutions;
-    driver_all(ydel_all, zdel_all) -> per-node driver values (M, N+1, m);
+    driver_all(ydel_all, zdel_all) -> per-node driver values (M, N+1, m), of
+    which node N is never read;
     features: names of the regression features, read at each node from the
     state, xdel_all and the current sweep's convolutions.  Sweeps stop once
     the max-node RMS update of both components drops below tol.
@@ -253,14 +254,9 @@ def picard_solve(problem, forward, basis=None, max_sweeps=8, tol=1e-3):
     grid = forward.grid
     _, wy, wz, xdel_all, features = _solve_setup(problem, forward, basis)
     terminal_vals = problem.terminal.value(forward.x[:, -1])
-    driver = problem.driver
-    n = len(grid) - 1
 
     def driver_all(ydel_all, zdel_all):
-        out = np.zeros((forward.n_paths, n + 1, problem.dim_y))
-        for j in range(n):
-            out[:, j] = driver.value(grid[j], xdel_all[:, j], ydel_all[:, j], zdel_all[:, j])
-        return out
+        return problem.driver.value(grid, xdel_all, ydel_all, zdel_all)
 
     y, z, diffs_y, diffs_z, sweeps = _run_sweeps(
         forward, terminal_vals, wy, wz, driver_all, xdel_all, features, basis, max_sweeps, tol,
@@ -288,8 +284,6 @@ def variational_solve(problem, forward, base, h, basis=None, max_sweeps=8, tol=1
     """
     basis = basis or BasisSpec()
     h = np.asarray(h, dtype=float)
-    grid = forward.grid
-    n = len(grid) - 1
     wx, wy, wz, xdel_all, features = _solve_setup(problem, forward, basis)
     ydel_base = _convolve_nodes(wy, base.y)
     zdel_base = _convolve_nodes(wz, base.z)
@@ -297,14 +291,10 @@ def variational_solve(problem, forward, base, h, basis=None, max_sweeps=8, tol=1
     xdel_dir = _convolve_nodes(wx, grad_x_h)
 
     driver = problem.driver
-    const_all = np.zeros((forward.n_paths, n + 1, problem.dim_y))
-    grad_y_all = np.zeros((forward.n_paths, n + 1, problem.dim_y, problem.dim_y))
-    grad_z_all = np.zeros((forward.n_paths, n + 1, problem.dim_y, problem.dim_y, problem.dim_x))
-    for j in range(n):
-        args = (grid[j], xdel_all[:, j], ydel_base[:, j], zdel_base[:, j])
-        const_all[:, j] = np.einsum("pmd,pd->pm", driver.grad_x(*args), xdel_dir[:, j])
-        grad_y_all[:, j] = driver.grad_y(*args)
-        grad_z_all[:, j] = driver.grad_z(*args)
+    args = (forward.grid, xdel_all, ydel_base, zdel_base)
+    const_all = np.einsum("pjmd,pjd->pjm", driver.grad_x(*args), xdel_dir)
+    grad_y_all = driver.grad_y(*args)
+    grad_z_all = driver.grad_z(*args)
 
     terminal_vals = np.einsum(
         "pmd,pdk,k->pm", problem.terminal.grad(forward.x[:, -1]), forward.grad_x[:, -1], h
@@ -340,14 +330,8 @@ def representation_z(forward, variationals, coeffs):
         if not np.allclose(bundle.direction, expected):
             raise ValueError("variational bundles must use the coordinate directions in order")
     grad_y = np.stack([b.p for b in variationals], axis=-1)
-    n = forward.x.shape[1] - 1
-    out = np.zeros_like(grad_y)
-    for i in range(n + 1):
-        sig = coeffs.diffusion(forward.grid[i], forward.x[:, i])
-        out[:, i] = np.einsum(
-            "pmd,pdk,pkl->pml", grad_y[:, i], forward.grad_x_inv[:, i], sig
-        )
-    return out
+    sig = coeffs.diffusion(forward.grid, forward.x)
+    return np.einsum("pimd,pidk,pikl->piml", grad_y, forward.grad_x_inv, sig)
 
 
 @dataclass(frozen=True)

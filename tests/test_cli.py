@@ -366,6 +366,47 @@ class TestBasisFeatureValidation:
         assert not out.exists()
 
 
+class TestStudyInputValidation:
+    @pytest.mark.parametrize("command, study, flags, message", [
+        ("fd-check", {"fd_epsilons": [0.5, 0]}, [],
+         "config invalid at study/fd_epsilons/1: 0 should not be valid"),
+        ("fd-check", {"fd_epsilons": []}, [],
+         "config invalid at study/fd_epsilons: [] should be non-empty"),
+        ("fd-check", {"fd_direction": [1.0, 0.0]}, [],
+         "study/fd_direction: need dim_x=1 entries, got 2"),
+        ("study-apriori", {"epsilons": [0.2, 0.0]}, [],
+         "config invalid at study/epsilons/1: 0.0 should not be valid"),
+        ("study-apriori", {"epsilons": []}, [],
+         "config invalid at study/epsilons: [] should be non-empty"),
+        ("study-yinc", {"separations": [0.0625, 0.125]}, [],
+         "study/separations: need at least three separations for a rate fit"),
+        ("study-yinc", {}, ["--steps", "2"],
+         "default separations at 2 steps: need at least three separations"),
+        ("compare-z", {}, ["--steps", "1"],
+         "compare-z needs at least 2 steps for an interior node, got 1"),
+    ])
+    def test_bad_study_input_exits_2_before_writing(self, tmp_path, capsys, command, study,
+                                                     flags, message):
+        cfg = base_config()
+        cfg["study"] = study
+        out = tmp_path / "out"
+        argv = [command, "--config", write_config(tmp_path, cfg), "--out", str(out), *flags]
+        assert main(argv) == 2
+        assert f"config error: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_two_dimensional_fd_direction_accepted(self, tmp_path):
+        cfg = base_config(dim_x=2)
+        cfg["forward"]["x0"] = [0.0, 0.0]
+        cfg["generator"] = {"preset": "zero", "lipschitz": 0.0}
+        cfg["terminal"] = {"preset": "quadratic"}
+        cfg["delays"] = {}
+        cfg["study"] = {"fd_direction": [1.0, -1.0], "fd_epsilons": [0.5, 0.25]}
+        out = tmp_path / "out"
+        assert main(["fd-check", "--config", write_config(tmp_path, cfg), "--out", str(out)]) == 0
+        assert len((out / "fd_check.csv").read_text().splitlines()) == 3
+
+
 def l2reg_config(**study):
     cfg = base_config()
     cfg["study"] = {"reference_steps": 16, **study}

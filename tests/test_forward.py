@@ -49,6 +49,29 @@ class TestPresets:
         fd_gradient_check(coeffs.diffusion, coeffs.grad_diffusion, points)
 
 
+class TestBatchShapes:
+    """One call on (M, N+1, d) states equals the stacked per-node (M, d) calls."""
+
+    @pytest.mark.parametrize("preset,params,dim", [
+        ("brownian", {}, 1),
+        ("brownian", {}, 2),
+        ("gbm", {"mu": 0.3, "nu": 0.4}, 1),
+        ("linear_drift", {"rate": 1.0, "vol": 0.2}, 1),
+    ])
+    def test_node_batch_equals_per_node_calls(self, preset, params, dim):
+        coeffs = make_forward(preset, params, dim)
+        grid = np.linspace(0.0, 0.5, 6)
+        x = np.random.default_rng(5).normal(size=(7, 6, dim)) + 1.0
+        shapes = {"drift": (dim,), "diffusion": (dim, dim),
+                  "grad_drift": (dim, dim), "grad_diffusion": (dim, dim, dim)}
+        for name, tail in shapes.items():
+            fn = getattr(coeffs, name)
+            out = fn(grid, x)
+            assert out.shape == (7, 6, *tail)
+            per_node = np.stack([fn(grid[j], x[:, j]) for j in range(6)], axis=1)
+            assert np.array_equal(out, per_node)
+
+
 class TestSimulation:
     def test_additive_noise_is_shifted_brownian(self):
         coeffs = make_forward("brownian")

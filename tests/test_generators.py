@@ -13,9 +13,11 @@ def sample_args(rng, d=1, m=1, n=6):
     )
 
 
+AFFINE = {"const": 0.2, "coeff_x": 0.3, "coeff_y": -0.4, "coeff_z": 0.5}
+
 DRIVER_CASES = [
     ("zero", {}),
-    ("affine", {"const": 0.2, "coeff_x": 0.3, "coeff_y": -0.4, "coeff_z": 0.5}),
+    ("affine", AFFINE),
     ("linear_ydel", {"coeff": 0.1}),
     ("linear_zdel", {"coeff": 0.1}),
 ]
@@ -82,3 +84,50 @@ class TestTerminalGradients:
     def test_unknown_preset_rejected(self):
         with pytest.raises(ValueError, match="unknown terminal preset"):
             make_terminal("call_spread")
+
+
+def per_node(call, n_nodes):
+    """call(j) for every node j, stacked along axis 1 as an (M, N+1, ·) array."""
+    return np.stack([call(j) for j in range(n_nodes)], axis=1)
+
+
+class TestBatchShapes:
+    """One call on (M, N+1, ·) states equals the stacked per-node (M, ·) calls."""
+
+    @pytest.mark.parametrize("preset,params,d,m", [
+        *((preset, params, 1, 1) for preset, params in DRIVER_CASES),
+        ("zero", {}, 2, 2),
+        ("affine", AFFINE, 2, 2),
+        ("affine", AFFINE, 2, 1),
+        ("linear_zdel", {"coeff": 0.1}, 2, 3),
+    ])
+    def test_driver_node_batch_equals_per_node_calls(self, preset, params, d, m):
+        rng = np.random.default_rng(3)
+        drv = make_driver(preset, params, d, m)
+        grid = np.linspace(0.0, 0.5, 6)
+        args = (rng.normal(size=(7, 6, d)), rng.normal(size=(7, 6, m)),
+                rng.normal(size=(7, 6, m, d)))
+        shapes = {"value": (m,), "grad_x": (m, d), "grad_y": (m, m), "grad_z": (m, m, d)}
+        for name, tail in shapes.items():
+            fn = getattr(drv, name)
+            out = fn(grid, *args)
+            assert out.shape == (7, 6, *tail)
+            assert np.array_equal(out, per_node(
+                lambda j: fn(grid[j], *(a[:, j] for a in args)), 6))
+
+    @pytest.mark.parametrize("preset,params,d,m", [
+        ("identity", {}, 1, 1),
+        ("identity", {}, 2, 2),
+        ("affine", {"offset": 0.3, "slope": 2.0}, 1, 1),
+        ("affine", {"offset": 0.3, "slope": 2.0}, 2, 1),
+        ("constant", {"value": 1.5}, 2, 2),
+        ("quadratic", {}, 1, 1),
+        ("quadratic", {}, 2, 1),
+    ])
+    def test_terminal_node_batch_equals_per_node_calls(self, preset, params, d, m):
+        term = make_terminal(preset, params, d, m)
+        x = np.random.default_rng(4).normal(size=(7, 6, d))
+        for fn, tail in ((term.value, (m,)), (term.grad, (m, d))):
+            out = fn(x)
+            assert out.shape == (7, 6, *tail)
+            assert np.array_equal(out, per_node(lambda j: fn(x[:, j]), 6))

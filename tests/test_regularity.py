@@ -222,6 +222,22 @@ class TestMomentCheck:
         assert out["rhs_terminal"] == pytest.approx(T, rel=0.1)
         assert out["finite"]
 
+    @pytest.mark.parametrize("p", [2.0, 4.0])
+    def test_ratio_invariant_under_driver_scaling(self, p):
+        # zero terminal and driver c: Y = c (T - t), so lhs and the data
+        # functional both scale as c^p
+        ratios = []
+        for c in (1.0, 2.0, 4.0):
+            prob = make_problem(make_driver("affine", {"const": c}),
+                                make_terminal("constant", {"value": 0.0}))
+            fwd, sol = solve_on(prob, 10, 500)
+            out = moment_check(prob, fwd, sol, p=p)
+            weights = np.exp(prob.beta * fwd.grid[:-1]) * np.diff(fwd.grid)
+            assert out["rhs_terminal"] == 0.0
+            assert out["rhs_driver"] == pytest.approx((c**2 * np.sum(weights)) ** (p / 2))
+            ratios.append(out["ratio"])
+        assert ratios == pytest.approx([ratios[0]] * 3, rel=1e-9)
+
     def test_cp_bound_recorded_when_supplied(self):
         prob = make_problem(make_driver("zero"), make_terminal("identity"))
         fwd, sol = solve_on(prob, 10, 1000)

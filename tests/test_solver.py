@@ -633,3 +633,105 @@ class TestFdCheckSharedNoise:
         prob = problem(make_driver("zero"), make_terminal("identity"), forward=coeffs)
         with pytest.raises(ValueError, match=r"singular variational flow at path 0, node 1"):
             fd_directional_check(prob, [1.0], [0.5], 50, 4, seed=1)
+
+
+def per_node_picard(prob, fwd, basis, sweeps, tol):
+    """picard_solve's sweeps with the driver called once per node below N."""
+    _, wy, wz, xdel_all, features = solver_module._solve_setup(prob, fwd, basis)
+    grid, n = fwd.grid, len(fwd.grid) - 1
+
+    def driver_all(ydel_all, zdel_all):
+        out = np.zeros((fwd.n_paths, n + 1, prob.dim_y))
+        for j in range(n):
+            out[:, j] = prob.driver.value(grid[j], xdel_all[:, j], ydel_all[:, j],
+                                          zdel_all[:, j])
+        return out
+
+    terminal_vals = prob.terminal.value(fwd.x[:, -1])
+    return solver_module._run_sweeps(fwd, terminal_vals, wy, wz, driver_all, xdel_all,
+                                     features, basis, sweeps, tol)
+
+
+def per_node_variational(prob, fwd, base, h, basis, sweeps, tol):
+    """variational_solve's sweeps with the driver gradients taken once per node below N."""
+    wx, wy, wz, xdel_all, features = solver_module._solve_setup(prob, fwd, basis)
+    grid, n, m, d = fwd.grid, len(fwd.grid) - 1, prob.dim_y, prob.dim_x
+    ydel_base = _convolve_nodes(wy, base.y)
+    zdel_base = _convolve_nodes(wz, base.z)
+    xdel_dir = _convolve_nodes(wx, np.einsum("pijk,k->pij", fwd.grad_x, h))
+    const = np.zeros((fwd.n_paths, n + 1, m))
+    gy = np.zeros((fwd.n_paths, n + 1, m, m))
+    gz = np.zeros((fwd.n_paths, n + 1, m, m, d))
+    for j in range(n):
+        args = (grid[j], xdel_all[:, j], ydel_base[:, j], zdel_base[:, j])
+        const[:, j] = np.einsum("pmd,pd->pm", prob.driver.grad_x(*args), xdel_dir[:, j])
+        gy[:, j] = prob.driver.grad_y(*args)
+        gz[:, j] = prob.driver.grad_z(*args)
+
+    def driver_all(pdel_all, qdel_all):
+        return (const + np.einsum("pjmk,pjk->pjm", gy, pdel_all)
+                + np.einsum("pjmkd,pjkd->pjm", gz, qdel_all))
+
+    terminal_vals = np.einsum("pmd,pdk,k->pm", prob.terminal.grad(fwd.x[:, -1]),
+                              fwd.grad_x[:, -1], h)
+    return solver_module._run_sweeps(fwd, terminal_vals, wy, wz, driver_all, xdel_all,
+                                     features, basis, sweeps, tol)
+
+
+def per_node_representation(fwd, variationals, coeffs):
+    grad_y = np.stack([v.p for v in variationals], axis=-1)
+    return np.stack([
+        np.einsum("pmd,pdk,pkl->pml", grad_y[:, i], fwd.grad_x_inv[:, i],
+                  coeffs.diffusion(fwd.grid[i], fwd.x[:, i]))
+        for i in range(len(fwd.grid))
+    ], axis=1)
+
+
+class TestOneCallPerSolve:
+    """The whole-bundle coefficient calls reproduce per-node loops exactly.
+
+    The driver values and gradients at node N differ (the loops leave them
+    zero) but no scheme term reads them, so every output is bit-identical.
+    """
+
+    def gbm_case(self):
+        density = DelayMeasure(T, density_pieces=((-0.3, -0.1, 1.5),))
+        prob = DelayFbsdeProblem(
+            horizon=T, dim_x=1, dim_y=1, x0=[1.0],
+            forward=make_forward("gbm", {"mu": 0.1, "nu": 0.3}),
+            driver=make_driver("affine", {"const": 0.2, "coeff_x": 0.3, "coeff_y": -0.2,
+                                          "coeff_z": 0.1}),
+            terminal=make_terminal("quadratic"),
+            alpha_x=lag_atom(-0.1), alpha_y=density, alpha_z=lag_atom(),
+            p=2.0, beta=1.0, gamma=0.5,
+        )
+        return prob, BasisSpec()
+
+    def brownian_2d_case(self):
+        prob = DelayFbsdeProblem(
+            horizon=T, dim_x=2, dim_y=2, x0=[0.2, -0.1],
+            forward=make_forward("brownian", {}, 2),
+            driver=make_driver("affine", {"const": 0.1, "coeff_x": 0.2, "coeff_y": 0.3,
+                                          "coeff_z": -0.2}, 2, 2),
+            terminal=make_terminal("identity", {}, 2, 2),
+            alpha_x=lag_atom(-0.1), alpha_y=lag_atom(), alpha_z=lag_atom(-0.15),
+            p=2.0, beta=1.0, gamma=0.5,
+        )
+        return prob, BasisSpec(degree=1)
+
+    @pytest.mark.parametrize("case", ["gbm_case", "brownian_2d_case"])
+    def test_solves_equal_per_node_reference(self, case):
+        prob, basis = getattr(self, case)()
+        grid = np.linspace(0.0, T, 11)
+        fwd = simulate_forward(prob.forward, prob.x0, grid, 400, 3)
+        sol = picard_solve(prob, fwd, basis, 4, 1e-12)
+        y, z, *_ = per_node_picard(prob, fwd, basis, 4, 1e-12)
+        assert np.array_equal(sol.y, y) and np.array_equal(sol.z, z)
+        variationals = []
+        for h in np.eye(prob.dim_x):
+            var = variational_solve(prob, fwd, sol, h, basis, 4, 1e-12)
+            p, q, *_ = per_node_variational(prob, fwd, sol, h, basis, 4, 1e-12)
+            assert np.array_equal(var.p, p) and np.array_equal(var.q, q)
+            variationals.append(var)
+        z_rep = representation_z(fwd, variationals, prob.forward)
+        assert np.array_equal(z_rep, per_node_representation(fwd, variationals, prob.forward))
