@@ -14,8 +14,9 @@ Commands
     study-l2reg       control mean-square regularity rate study
     study-apriori     perturbation scaling study
 
-Every run writes a manifest (config hash, seed, versions) beside its outputs;
-identical config and seed reproduce outputs byte for byte.
+Commands compute and return their outputs; `main` writes them, then a
+manifest (config hash, seed, versions), only when the command succeeds.
+Identical config and seed reproduce outputs byte for byte.
 """
 
 from __future__ import annotations
@@ -105,14 +106,6 @@ def _load(args):
     return load_config(args.config)
 
 
-def _prepare(args, command, cfg=None):
-    cfg = _load(args) if cfg is None else cfg
-    out_dir = Path(args.out or cfg.get("output", "out"))
-    out_dir.mkdir(parents=True, exist_ok=True)
-    write_manifest(out_dir, cfg, args, command)
-    return cfg, out_dir
-
-
 def _setup(cfg, args):
     seed = args.seed if args.seed is not None else int(cfg.get("seed", 0))
     return build_problem(cfg), solver_settings(cfg, vars(args)), seed
@@ -131,10 +124,14 @@ def _solve_from_config(cfg, args, steps=None):
     return problem, settings, forward, solution
 
 
-def cmd_check_constants(args):
+# Each command computes and returns (tables, verdict, line): its CSV tables as
+# {file name: (header, rows)}, its verdict.txt fields as {key: value} and its
+# stdout line.  It writes nothing; main writes the outputs once it succeeds.
+
+
+def cmd_check_constants(args, cfg):
     beta_spec = _parse_grid_flag(args, "beta_grid")
     gamma_spec = _parse_grid_flag(args, "gamma_grid")
-    cfg, out_dir = _prepare(args, "check-constants")
     params = build_problem(cfg).structural_params()
     betas = _grid_from(beta_spec or cfg.get("beta_grid"), params.beta)
     gammas = _grid_from(gamma_spec or cfg.get("gamma_grid"), params.gamma)
@@ -148,45 +145,30 @@ def cmd_check_constants(args):
                rep.l2_lhs_y, rep.l2_lhs_z, rep.lp_lhs_y, rep.lp_lhs_z, feasible]
     rows = zip(*(column.ravel().tolist() for column in columns))
     best = best_feasible(rep)
-    write_csv(out_dir / "constants.csv", header, rows)
     verdict = "none" if best is None else f"beta={best[0]} gamma={best[1]} margin={best[2]}"
-    (out_dir / "verdict.txt").write_text(f"best_feasible: {verdict}\n")
-    print(f"wrote {out_dir / 'constants.csv'} ({rep.margin.size} rows); best_feasible: {verdict}")
-    return 0
+    return ({"constants.csv": (header, rows)}, {"best_feasible": verdict},
+            f"{rep.margin.size} (beta, gamma) points; best_feasible: {verdict}")
 
 
-def _solution_csv(out_dir, grid, solution):
+def cmd_solve(args, cfg):
+    problem, settings, forward, solution = _solve_from_config(cfg, args)
     rows = []
-    for i, t in enumerate(grid):
+    for i, t in enumerate(forward.grid):
         y_i = solution.y[:, i]
         z_i = solution.z[:, i].reshape(len(y_i), -1)
-        rows.append([
-            float(t),
-            float(np.mean(y_i)), float(np.std(y_i)),
-            float(np.mean(z_i)), float(np.std(z_i)),
-        ])
-    write_csv(out_dir / "solution.csv", ["t", "mean_y", "sd_y", "mean_z", "sd_z"], rows)
+        rows.append([float(t), float(np.mean(y_i)), float(np.std(y_i)),
+                     float(np.mean(z_i)), float(np.std(z_i))])
     diag = [[k + 1, dy, dz] for k, (dy, dz) in
             enumerate(zip(solution.diffs_y, solution.diffs_z))]
-    write_csv(out_dir / "diagnostics.csv", ["sweep", "diff_y", "diff_z"], diag)
-
-
-def cmd_solve(args):
-    cfg, out_dir = _prepare(args, "solve")
-    problem, settings, forward, solution = _solve_from_config(cfg, args)
-    _solution_csv(out_dir, forward.grid, solution)
-    feas = solution.feasibility or {}
+    tables = {"solution.csv": (["t", "mean_y", "sd_y", "mean_z", "sd_z"], rows),
+              "diagnostics.csv": (["sweep", "diff_y", "diff_z"], diag)}
     status = f"converged in {solution.sweeps} sweeps"
     if not solution.converged:
         last = max(solution.diffs_y[-1:] + solution.diffs_z[-1:], default=float("nan"))
         status = (f"stopped after {solution.sweeps} sweeps without converging "
                   f"(last update {last:.3g} >= tol {solution.tol:.3g})")
-    print(
-        f"{status}; "
-        f"mean Y0 = {float(np.mean(solution.y[:, 0])):.6g}; "
-        f"feasibility: {feas}"
-    )
-    return 0
+    return tables, {}, (f"{status}; mean Y0 = {float(np.mean(solution.y[:, 0])):.6g}; "
+                        f"feasibility: {solution.feasibility or {}}")
 
 
 def _variationals(problem, settings, forward, solution):
@@ -198,29 +180,26 @@ def _variationals(problem, settings, forward, solution):
     ]
 
 
-def cmd_variational(args):
-    cfg, out_dir = _prepare(args, "variational")
+def cmd_variational(args, cfg):
     problem, settings, forward, solution = _solve_from_config(cfg, args)
+    variationals = _variationals(problem, settings, forward, solution)
     rows = []
-    for var in _variationals(problem, settings, forward, solution):
+    for var in variationals:
         for i, t in enumerate(forward.grid):
             p_i = var.p[:, i]
             q_i = var.q[:, i].reshape(len(p_i), -1)
             rows.append([float(t), int(np.argmax(var.direction)),
                          float(np.mean(p_i)), float(np.std(p_i)),
                          float(np.mean(q_i)), float(np.std(q_i))])
-    write_csv(out_dir / "variational.csv",
-              ["t", "direction", "mean_dy", "sd_dy", "mean_dz", "sd_dz"], rows)
-    print(f"wrote {out_dir / 'variational.csv'}")
-    return 0
+    header = ["t", "direction", "mean_dy", "sd_dy", "mean_dz", "sd_dz"]
+    return ({"variational.csv": (header, rows)}, {},
+            f"derivative sweeps per direction: {[var.sweeps for var in variationals]}")
 
 
-def cmd_compare_z(args):
-    cfg = _load(args)
+def cmd_compare_z(args, cfg):
     steps = solver_settings(cfg, vars(args))["steps"]
     if steps < 2:
         raise ConfigError(f"compare-z needs at least 2 steps for an interior node, got {steps}")
-    cfg, out_dir = _prepare(args, "compare-z", cfg)
     problem, settings, forward, solution = _solve_from_config(cfg, args)
     z_rep = representation_z(forward, _variationals(problem, settings, forward, solution),
                              problem.forward)
@@ -231,55 +210,43 @@ def cmd_compare_z(args):
         den = float(np.sqrt(np.mean(np.sum(z_rep[:, i] ** 2, axis=(-2, -1)))))
         rel = num / den if den > 1e-8 else num
         rows.append([float(t), num, den, rel])
-    write_csv(out_dir / "compare_z.csv", ["t", "abs_distance", "ref_norm", "rel_distance"], rows)
     interior = [row[3] for row in rows[1:-1]]
-    print(f"max interior relative distance: {max(interior):.4g}")
-    return 0
+    return ({"compare_z.csv": (["t", "abs_distance", "ref_norm", "rel_distance"], rows)}, {},
+            f"max interior relative distance: {max(interior):.4g}")
 
 
-def cmd_fd_check(args):
-    cfg = _load(args)
+def cmd_fd_check(args, cfg):
     study = cfg.get("study", {})
     dim_x = int(cfg.get("dim_x", 1))
     h = np.asarray(study.get("fd_direction", [1.0] * dim_x), dtype=float)
     if len(h) != dim_x:
         raise ConfigError(f"study/fd_direction: need dim_x={dim_x} entries, got {len(h)}")
-    cfg, out_dir = _prepare(args, "fd-check", cfg)
     problem, settings, seed = _setup(cfg, args)
     epsilons = study.get("fd_epsilons", [0.5, 0.25, 0.125])
     report = fd_directional_check(
         problem, h, epsilons, settings["paths"], settings["steps"], seed,
         settings["basis"], settings["picard"], settings["tol"],
     )
-    rows = [[e, err, se] for e, err, se in
-            zip(report.epsilons, report.errors, report.block_ses)]
-    write_csv(out_dir / "fd_check.csv", ["epsilon", "error", "block_se"], rows)
-    (out_dir / "verdict.txt").write_text(
-        f"noise_floor: {_fmt(report.noise_floor)}\n"
-        f"noise_floor_se: {_fmt(report.noise_floor_se)}\n"
-        f"richardson_error: {_fmt(report.richardson_error)}\n"
-    )
-    print(f"fd errors: {report.errors}; noise floor {report.noise_floor:.4g}")
-    return 0
+    rows = zip(report.epsilons, report.errors, report.block_ses)
+    verdict = {"noise_floor": report.noise_floor, "noise_floor_se": report.noise_floor_se,
+               "richardson_error": report.richardson_error}
+    return ({"fd_check.csv": (["epsilon", "error", "block_se"], rows)}, verdict,
+            f"fd errors: {report.errors}; noise floor {report.noise_floor:.4g}")
 
 
-def cmd_study_picard(args):
-    cfg, out_dir = _prepare(args, "study-picard")
+def cmd_study_picard(args, cfg):
     problem, settings, forward, solution = _solve_from_config(cfg, args)
     diffs = [max(dy, dz) for dy, dz in zip(solution.diffs_y, solution.diffs_z)]
     rows = []
     for k, (dy, dz) in enumerate(zip(solution.diffs_y, solution.diffs_z)):
         ratio = diffs[k] / diffs[k - 1] if k and diffs[k - 1] > 0 else float("nan")
         rows.append([k + 1, dy, dz, ratio])
-    write_csv(out_dir / "picard.csv", ["sweep", "diff_y", "diff_z", "ratio"], rows)
     contracting = all(row[3] < 1 for row in rows[2:] if np.isfinite(row[3]))
     feas = solution.feasibility or {}
-    (out_dir / "verdict.txt").write_text(
-        f"ratios_below_one_after_sweep_2: {str(bool(contracting)).lower()}\n"
-        f"feasible_l2: {str(bool(feas.get('l2', False))).lower()}\n"
-    )
-    print(f"sweep diffs: {diffs}; contracting after sweep 2: {contracting}")
-    return 0
+    verdict = {"ratios_below_one_after_sweep_2": contracting,
+               "feasible_l2": bool(feas.get("l2", False))}
+    return ({"picard.csv": (["sweep", "diff_y", "diff_z", "ratio"], rows)}, verdict,
+            f"sweep diffs: {diffs}; contracting after sweep 2: {contracting}")
 
 
 def _separations(cfg, args):
@@ -304,28 +271,22 @@ def _separations(cfg, args):
     return seps
 
 
-def cmd_study_yinc(args):
-    cfg = _load(args)
+def _rate_outputs(name, header, report, what):
+    """Table, verdict and line of a rate study: fitted slope against the paper's target."""
+    verdict = {"target_slope": report.target_slope, "fitted_slope": report.slope,
+               "pass": report.passed}
+    return ({name: (header, zip(report.sizes, report.values))}, verdict,
+            f"{what} slope: {report.slope:.3f} (target {report.target_slope})")
+
+
+def cmd_study_yinc(args, cfg):
     seps = _separations(cfg, args)
-    cfg, out_dir = _prepare(args, "study-yinc", cfg)
     problem, settings, forward, solution = _solve_from_config(cfg, args)
     study = cfg.get("study", {})
     p = float(study.get("moment_p", 2.0))
     tol = float(study.get("slope_tol", 0.15 if p == 2 else 0.3))
     report = y_increment_rate(solution, p, seps, tol)
-    write_csv(out_dir / "yinc.csv", ["separation", "moment"],
-              list(zip(report.sizes, report.values)))
-    _write_rate_verdict(out_dir, report)
-    print(f"increment moment slope: {report.slope:.3f} (target {report.target_slope})")
-    return 0
-
-
-def _write_rate_verdict(out_dir, report):
-    (out_dir / "verdict.txt").write_text(
-        f"target_slope: {_fmt(report.target_slope)}\n"
-        f"fitted_slope: {_fmt(report.slope)}\n"
-        f"pass: {str(bool(report.passed)).lower()}\n"
-    )
+    return _rate_outputs("yinc.csv", ["separation", "moment"], report, "increment moment")
 
 
 def _meshes(cfg, args):
@@ -348,44 +309,36 @@ def _meshes(cfg, args):
     return meshes, ref_steps
 
 
-def cmd_study_l2reg(args):
-    cfg = _load(args)
+def cmd_study_l2reg(args, cfg):
     meshes, ref_steps = _meshes(cfg, args)
-    cfg, out_dir = _prepare(args, "study-l2reg", cfg)
-    study = cfg.get("study", {})
-    tol_slope = float(study.get("slope_tol", 0.3))
+    tol_slope = float(cfg.get("study", {}).get("slope_tol", 0.3))
     problem, settings, forward, solution = _solve_from_config(cfg, args, ref_steps)
     z_ref = representation_z(forward, _variationals(problem, settings, forward, solution),
                              problem.forward)
     report = l2_regularity(forward, z_ref, meshes, settings["basis"], tol_slope)
-    write_csv(out_dir / "l2reg.csv", ["mesh_size", "functional"],
-              list(zip(report.sizes, report.values)))
-    _write_rate_verdict(out_dir, report)
-    print(f"regularity slope: {report.slope:.3f} (target {report.target_slope})")
-    return 0
+    return _rate_outputs("l2reg.csv", ["mesh_size", "functional"], report, "regularity")
 
 
-def cmd_study_apriori(args):
-    cfg, out_dir = _prepare(args, "study-apriori")
-    problem, settings, seed = _setup(cfg, args)
+def cmd_study_apriori(args, cfg):
     study = cfg.get("study", {})
-    epsilons = study.get("epsilons", [0.4, 0.2, 0.1])
+    terminal_shift = float(study.get("terminal_shift", 1.0))
+    driver_shift = float(study.get("driver_shift", 1.0))
+    if terminal_shift == 0.0 and driver_shift == 0.0:
+        raise ConfigError("study/terminal_shift and study/driver_shift are both 0: "
+                          "nothing is perturbed")
+    problem, settings, seed = _setup(cfg, args)
     forward = _simulate(problem, settings, seed, settings["steps"])
     report = apriori_scaling(
-        problem, forward, epsilons,
-        terminal_shift=float(study.get("terminal_shift", 1.0)),
-        driver_shift=float(study.get("driver_shift", 1.0)),
+        problem, forward, study.get("epsilons", [0.4, 0.2, 0.1]),
+        terminal_shift=terminal_shift, driver_shift=driver_shift,
         max_sweeps=settings["picard"], tol=settings["tol"],
     )
     rows = zip(report.epsilons, report.s_norms, report.h_norms_y, report.h_norms_z,
                report.rhs_terminal, report.rhs_driver, report.ratios)
-    write_csv(out_dir / "apriori.csv",
-              ["epsilon", "s_norm", "h_norm_y", "h_norm_z",
-               "rhs_terminal", "rhs_driver", "ratio"], rows)
+    header = ["epsilon", "s_norm", "h_norm_y", "h_norm_z", "rhs_terminal", "rhs_driver", "ratio"]
     spread = (max(report.ratios) - min(report.ratios)) / min(report.ratios)
-    (out_dir / "verdict.txt").write_text(f"ratio_spread: {_fmt(float(spread))}\n")
-    print(f"stability ratios: {report.ratios}; spread {spread:.3g}")
-    return 0
+    return ({"apriori.csv": (header, rows)}, {"ratio_spread": float(spread)},
+            f"stability ratios: {report.ratios}; spread {spread:.3g}")
 
 
 _COMMANDS = {
@@ -426,16 +379,31 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one command; write its outputs into --out, manifest last, only if it succeeds.
+
+    Input errors exit 2 and numerical failures exit 1, both before anything
+    is written.
+    """
+    args = build_parser().parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        cfg = _load(args)
+        tables, verdict, line = _COMMANDS[args.command](args, cfg)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except (ValueError, FloatingPointError) as exc:
         print(f"{args.command} failed: {exc}", file=sys.stderr)
         return 1
+    out_dir = Path(args.out or cfg.get("output", "out"))
+    out_dir.mkdir(parents=True, exist_ok=True)
+    for name, (header, rows) in tables.items():
+        write_csv(out_dir / name, header, rows)
+    if verdict:
+        (out_dir / "verdict.txt").write_text(
+            "".join(f"{key}: {_fmt(value)}\n" for key, value in verdict.items()))
+    write_manifest(out_dir, cfg, args, args.command)
+    print(line)
+    return 0
 
 
 if __name__ == "__main__":

@@ -144,7 +144,6 @@ CONFIG_SCHEMA = {
                 "reference_steps": {"type": "integer", "minimum": 2},
                 "separations": {"type": "array", "items": {"type": "number"}},
                 "moment_p": {"type": "number", "minimum": 2},
-                "target_slope": {"type": "number"},
                 "slope_tol": {"type": "number", "exclusiveMinimum": 0},
                 "epsilons": _NONZERO_LIST,
                 "terminal_shift": {"type": "number"},

@@ -28,8 +28,6 @@ from .measures import DelayMeasure
 __all__ = [
     "StructuralParams",
     "ConstantsReport",
-    "max_mass",
-    "max_weighted_mass",
     "bdg_constant",
     "stability_constants",
     "apriori_constant",
@@ -105,16 +103,6 @@ class ConstantsReport:
     margin: float
 
 
-def max_mass(alpha_y, alpha_z):
-    """Larger of the two total delay masses."""
-    return max(alpha_y.total_mass(), alpha_z.total_mass())
-
-
-def max_weighted_mass(alpha_y, alpha_z, beta):
-    """Larger of the two exp(-beta v)-weighted delay masses; beta may be an array."""
-    return np.maximum(alpha_y.exp_weighted_mass(beta), alpha_z.exp_weighted_mass(beta))
-
-
 def bdg_constant(p, m):
     """Burkholder-type constant m^(p/2+1) (p/(p-1))^(p^2/2) (p(p-1)/2)^(p/2)."""
     if p <= 2:
@@ -157,11 +145,11 @@ def _masses(params, beta):
     where lip_eff = 0 even if w overflows to inf; the per-measure masses are
     therefore returned as 0 there.
     """
-    mass = max_mass(params.alpha_y, params.alpha_z)
+    mass = max(params.alpha_y.total_mass(), params.alpha_z.total_mass())
     lip_eff = params.lipschitz * mass
-    weighted = max_weighted_mass(params.alpha_y, params.alpha_z, beta)
     wy = params.alpha_y.exp_weighted_mass(beta)
     wz = params.alpha_z.exp_weighted_mass(beta)
+    weighted = np.maximum(wy, wz)
     if lip_eff == 0.0:
         wy = wz = np.zeros_like(weighted)
     return mass, weighted, lip_eff, wy, wz

@@ -119,7 +119,6 @@ class VariationalBundle:
     """Directional state-derivative of the solution along direction h."""
 
     direction: np.ndarray
-    grad_x_h: np.ndarray
     p: np.ndarray
     q: np.ndarray
     diffs_p: tuple
@@ -310,7 +309,7 @@ def variational_solve(problem, forward, base, h, basis=None, max_sweeps=8, tol=1
         forward, terminal_vals, wy, wz, driver_all, xdel_all, features, basis, max_sweeps, tol,
     )
     return VariationalBundle(
-        direction=h, grad_x_h=grad_x_h, p=p, q=q,
+        direction=h, p=p, q=q,
         diffs_p=diffs_p, diffs_q=diffs_q, sweeps=sweeps,
     )
 

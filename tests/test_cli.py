@@ -6,7 +6,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from delaybsde.cli import _fmt, _meshes, build_parser, main
+from delaybsde import cli
+from delaybsde.cli import _COMMANDS, _fmt, _meshes, build_parser, main
 from delaybsde.config import ConfigError, build_problem, load_config, validate_config
 from delaybsde.constants import (
     apriori_constant,
@@ -15,6 +16,7 @@ from delaybsde.constants import (
     search_feasible,
     stability_constants,
 )
+from delaybsde.solver import picard_solve
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -384,6 +386,11 @@ class TestStudyInputValidation:
          "default separations at 2 steps: need at least three separations"),
         ("compare-z", {}, ["--steps", "1"],
          "compare-z needs at least 2 steps for an interior node, got 1"),
+        ("study-apriori", {"terminal_shift": 0, "driver_shift": 0.0}, [],
+         "study/terminal_shift and study/driver_shift are both 0: nothing is perturbed"),
+        ("study-yinc", {"target_slope": 7.0}, [],
+         "config invalid at study: Additional properties are not allowed "
+         "('target_slope' was unexpected)"),
     ])
     def test_bad_study_input_exits_2_before_writing(self, tmp_path, capsys, command, study,
                                                      flags, message):
@@ -395,6 +402,15 @@ class TestStudyInputValidation:
         assert f"config error: {message}" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_study_apriori_runs_with_one_shift_zero(self, tmp_path):
+        cfg = base_config()
+        cfg["study"] = {"epsilons": [0.2, 0.1], "terminal_shift": 0.0}
+        out = tmp_path / "out"
+        assert main(["study-apriori", "--config", write_config(tmp_path, cfg),
+                     "--out", str(out)]) == 0
+        spread = (out / "verdict.txt").read_text()
+        assert spread.startswith("ratio_spread: ") and "nan" not in spread
+
     def test_two_dimensional_fd_direction_accepted(self, tmp_path):
         cfg = base_config(dim_x=2)
         cfg["forward"]["x0"] = [0.0, 0.0]
@@ -405,6 +421,68 @@ class TestStudyInputValidation:
         out = tmp_path / "out"
         assert main(["fd-check", "--config", write_config(tmp_path, cfg), "--out", str(out)]) == 0
         assert len((out / "fd_check.csv").read_text().splitlines()) == 3
+
+
+def _unknown_forward_preset(cfg):
+    cfg["forward"]["preset"] = "ornstein_uhlenbeck"
+
+
+def _long_x0(cfg):
+    cfg["forward"]["x0"] = [0.0, 1.0]
+
+
+def _zero_ridge(cfg):
+    cfg["solver"]["basis"] = {"ridge": 0.0}
+
+
+def _singular_flow(cfg):
+    # drift rate -1/dt: the first Euler step multiplies the flow by 1 + rate dt = 0
+    steps = cfg["solver"]["steps"]
+    cfg["forward"] = {"preset": "linear_drift", "x0": [0.0],
+                      "rate": -steps / cfg["horizon"], "vol": 0.0}
+
+
+# Every command fails on the two input errors that surface only when the
+# problem is built, and every command with a regression or forward bundle on
+# a numerical failure: study-apriori fixes its own basis, so its failure is a
+# singular flow; check-constants runs neither.
+_FAILURES = [
+    *((command, _unknown_forward_preset, 2, "unknown forward preset 'ornstein_uhlenbeck'")
+      for command in _COMMANDS),
+    *((command, _long_x0, 2, "forward.x0 must have length dim_x=1") for command in _COMMANDS),
+    *((command, _zero_ridge, 1, "regression failed at node")
+      for command in _COMMANDS if command not in ("check-constants", "study-apriori")),
+    ("study-apriori", _singular_flow, 1, "singular variational flow at path 0, node 1"),
+]
+
+
+@pytest.mark.parametrize("command, break_config, code, message", _FAILURES,
+                         ids=[f"{c}-{f.__name__.strip('_')}" for c, f, *_ in _FAILURES])
+def test_failed_run_writes_nothing(tmp_path, capsys, command, break_config, code, message):
+    cfg = base_config()
+    break_config(cfg)
+    out = tmp_path / "out"
+    assert main([command, "--config", write_config(tmp_path, cfg), "--out", str(out)]) == code
+    captured = capsys.readouterr()
+    assert message in captured.err and captured.out == ""
+    assert not out.exists()
+
+
+def test_compare_z_solves_once_through_the_module_attribute(tmp_path, monkeypatch):
+    # the benchmark captures the base solution by replacing cli.picard_solve
+    solutions = []
+
+    def recorder(*args, **kwargs):
+        solutions.append(picard_solve(*args, **kwargs))
+        return solutions[-1]
+
+    monkeypatch.setattr(cli, "picard_solve", recorder)
+    out = tmp_path / "out"
+    assert main(["compare-z", "--config", write_config(tmp_path, base_config()),
+                 "--out", str(out)]) == 0
+    assert len(solutions) == 1
+    assert solutions[0].y.shape == (600, 9, 1)
+    assert len((out / "compare_z.csv").read_text().splitlines()) == 10
 
 
 def l2reg_config(**study):

@@ -15,8 +15,6 @@ from delaybsde.constants import (
     constants_report,
     l2_existence_check,
     lp_contraction_check,
-    max_mass,
-    max_weighted_mass,
     search_feasible,
     stability_constants,
 )
@@ -104,7 +102,7 @@ def _apriori(params, wl, dp, ratio, d2, d3):
 
 def _masses(params):
     """Larger total mass, lip_eff and the two exp(-beta v)-weighted masses."""
-    mass = max_mass(params.alpha_y, params.alpha_z)
+    mass = max(params.alpha_y.total_mass(), params.alpha_z.total_mass())
     wy = params.alpha_y.exp_weighted_mass(params.beta)
     wz = params.alpha_z.exp_weighted_mass(params.beta)
     return mass, params.lipschitz * mass, wy, wz
@@ -173,38 +171,51 @@ def _evaluate(params):
     return report, pieces, lp
 
 
+def mass_report(alpha_y, alpha_z, beta=1.0):
+    return constants_report(StructuralParams(
+        lipschitz=1.0, horizon=1.0, p=2.0, dim_y=1,
+        alpha_y=alpha_y, alpha_z=alpha_z, beta=beta, gamma=0.5,
+    ))
+
+
 class TestMassBounds:
     def test_max_of_totals(self):
         a = atom_measure(1.0, -0.5, 1.0)
         b = DelayMeasure(1.0, density_pieces=((-1.0, 0.0, 2.0),))
-        assert max_mass(a, b) == 2.0
-        assert max_mass(a, a) == 1.0
+        assert mass_report(a, b).mass_bound == 2.0
+        assert mass_report(b, a).mass_bound == 2.0
+        assert mass_report(a, a).mass_bound == 1.0
 
     def test_empty_measures_give_zero(self):
         z = DelayMeasure(1.0)
-        assert max_mass(z, z) == 0.0
+        assert mass_report(z, z).mass_bound == 0.0
+        assert mass_report(z, z).weighted_mass_bound == 0.0
 
     def test_weighted_reduces_at_beta_zero(self):
         a = atom_measure(1.0, -0.5)
-        assert max_weighted_mass(a, a, 0.0) == max_mass(a, a)
+        report = mass_report(a, a, beta=0.0)
+        assert report.weighted_mass_bound == report.mass_bound == 1.0
 
     def test_weighted_atom(self):
         a = atom_measure(1.0, -0.5)
-        assert max_weighted_mass(a, a, 1.0) == pytest.approx(np.exp(0.5), rel=1e-12)
+        assert mass_report(a, a).weighted_mass_bound == pytest.approx(np.exp(0.5), rel=1e-12)
 
     def test_weighted_with_one_empty(self):
         z = DelayMeasure(1.0)
         a = atom_measure(1.0, -0.25)
-        assert max_weighted_mass(z, a, 2.0) == pytest.approx(np.exp(0.5), rel=1e-12)
+        for report in (mass_report(z, a, 2.0), mass_report(a, z, 2.0)):
+            assert report.weighted_mass_bound == pytest.approx(np.exp(0.5), rel=1e-12)
 
     def test_array_beta_equals_number_calls(self):
         a = atom_measure(1.0, -0.5)
         b = DelayMeasure(1.0, density_pieces=((-0.8, -0.1, 1.5),))
         betas = np.array([[0.0, 1e-9], [0.5, 30.0]])
-        out = max_weighted_mass(a, b, betas)
-        assert out.shape == betas.shape
-        expected = [[max_weighted_mass(a, b, float(x)) for x in row] for row in betas]
-        assert np.array_equal(out, expected)
+        report = mass_report(a, b, betas)
+        assert report.weighted_mass_bound.shape == betas.shape
+        expected = [[mass_report(a, b, float(x)).weighted_mass_bound for x in row]
+                    for row in betas]
+        assert np.array_equal(report.weighted_mass_bound, expected)
+        assert np.array_equal(report.mass_bound, np.full(betas.shape, b.total_mass()))
 
 
 class TestBdgConstant:
