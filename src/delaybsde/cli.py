@@ -33,10 +33,17 @@ import numpy as np
 from . import __version__
 from .config import ConfigError, build_problem, load_config, solver_settings, validate_flag
 from .constants import best_feasible, constants_report
-from .regularity import apriori_scaling, l2_regularity, separation_steps, y_increment_rate
+from .regularity import (
+    STATE_BASIS,
+    apriori_scaling,
+    l2_regularity,
+    separation_steps,
+    y_increment_rate,
+)
 from .solver import (
     fd_directional_check,
     picard_solve,
+    regression_basis,
     representation_z,
     variational_solve,
 )
@@ -106,9 +113,22 @@ def _load(args):
     return load_config(args.config)
 
 
-def _setup(cfg, args):
+def _setup(cfg, args, default_basis=None):
+    """Problem, solver settings and seed of a Monte Carlo command.
+
+    default_basis replaces the solver's default basis when the config selects
+    none.  A basis of k > 1 functions needs at least 10 k paths (the
+    regressions' rule), checked here, before any path is simulated.
+    """
     seed = args.seed if args.seed is not None else int(cfg.get("seed", 0))
-    return build_problem(cfg), solver_settings(cfg, vars(args)), seed
+    problem, settings = build_problem(cfg), solver_settings(cfg, vars(args))
+    if default_basis is not None and "basis" not in cfg.get("solver", {}):
+        settings["basis"] = default_basis
+    _, k = regression_basis(problem, settings["basis"])
+    if k > max(1, settings["paths"] // 10):
+        raise ConfigError(f"basis size {k} needs at least {10 * k} paths, "
+                          f"got {settings['paths']}")
+    return problem, settings, seed
 
 
 def _simulate(problem, settings, seed, steps):
@@ -326,12 +346,12 @@ def cmd_study_apriori(args, cfg):
     if terminal_shift == 0.0 and driver_shift == 0.0:
         raise ConfigError("study/terminal_shift and study/driver_shift are both 0: "
                           "nothing is perturbed")
-    problem, settings, seed = _setup(cfg, args)
+    problem, settings, seed = _setup(cfg, args, STATE_BASIS)
     forward = _simulate(problem, settings, seed, settings["steps"])
     report = apriori_scaling(
         problem, forward, study.get("epsilons", [0.4, 0.2, 0.1]),
         terminal_shift=terminal_shift, driver_shift=driver_shift,
-        max_sweeps=settings["picard"], tol=settings["tol"],
+        basis=settings["basis"], max_sweeps=settings["picard"], tol=settings["tol"],
     )
     rows = zip(report.epsilons, report.s_norms, report.h_norms_y, report.h_norms_z,
                report.rhs_terminal, report.rhs_driver, report.ratios)

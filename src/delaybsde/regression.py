@@ -3,9 +3,9 @@
 Every conditional expectation in the discrete schemes is realized as a
 cross-sectional ridge regression across simulated paths: targets are
 projected onto total-degree polynomials of a handful of node features.  One
-fit per time node, never pooled across nodes.  Fits are deterministic
-functions of their inputs (Cholesky solve of the ridge Gram matrix, no
-randomness).
+fit per time node, never pooled across nodes; the fits of many nodes run as
+one stack of designs.  Fits are deterministic functions of their inputs
+(Cholesky solve of the ridge Gram matrix, no randomness).
 """
 
 from __future__ import annotations
@@ -64,74 +64,103 @@ def _exponents(n_features, degree):
 
 
 def expand_features(features, degree):
-    """Monomial design matrix of all total degrees <= degree, intercept first.
+    """Monomial designs of all total degrees <= degree, intercept first.
 
-    Columns are filled as contiguous rows of the transpose, so the returned
-    (M, k) matrix is Fortran-ordered.
+    features: (..., M, n_features) with any leading batch shape.  Columns are
+    filled as contiguous rows of the transpose, so each returned (M, k)
+    design is Fortran-ordered, and a stack of them is the axis swap of one
+    C-ordered (..., k, M) array.
     """
     features = np.asarray(features, dtype=float)
-    m, n_feat = features.shape
+    *batch, m, n_feat = features.shape
     exps = _exponents(n_feat, degree)
-    columns = features.T
-    design = np.ones((len(exps), m))
+    columns = np.moveaxis(features, -1, 0)
+    design = np.ones((*batch, len(exps), m))
     for col, exp in enumerate(exps):
         for j, power in enumerate(exp):
             if power:
-                design[col] *= columns[j] ** power
-    return design.T
+                design[..., col, :] *= columns[j] ** power
+    return np.swapaxes(design, -1, -2)
 
 
 class DesignSolver:
-    """Ridge least squares on a fixed design, reusable across target sets.
+    """Ridge least squares on a fixed design or stack of designs.
 
-    Coefficients are (X^T X + lambda I)^{-1} X^T y with
-    lambda = ridge * trace(X^T X) / k.  The Gram matrix is factored by
-    Cholesky once; every call to solve() reuses the factor, so the solver
-    node of the Picard sweep pays one factorization per node for both the
+    design: (..., M, k), with any leading batch shape; every design of a
+    stack is fitted on its own, to the same numbers a solver of that design
+    alone gives.  Coefficients are (X^T X + lambda I)^{-1} X^T y with
+    lambda = ridge * trace(X^T X) / k per design.  The Gram matrices are
+    factored by one stacked Cholesky; every call to solve() reuses the
+    factors, so a block of sweep nodes pays one factorization for both the
     value and the control regressions.
     """
 
     def __init__(self, design, ridge=1e-8):
         design = np.asarray(design, dtype=float)
-        m, k = design.shape
+        m, k = design.shape[-2:]
         if k > max(1, m // 10):
             raise ValueError(
                 f"basis size {k} exceeds one tenth of the sample count {m}; "
                 "the fit would be underdetermined"
             )
         self.design = design
-        gram = design.T @ design
-        self.penalty = ridge * float(np.trace(gram)) / k
-        if ridge == 0.0:
-            s = self._singular_values
-            tol = s[0] * max(m, k) * np.finfo(float).eps if s[0] > 0 else 0.0
-            if s[-1] <= tol:
-                raise ValueError(
-                    "rank-deficient design with zero ridge; set a positive ridge"
-                )
-        gram[np.diag_indices(k)] += self.penalty
+        gram = np.swapaxes(design, -1, -2) @ design
+        self.penalty = ridge * np.trace(gram, axis1=-2, axis2=-1) / k
+        if ridge == 0.0 and not self._full_rank.all():
+            raise ValueError(
+                f"rank-deficient design{self._where(~self._full_rank)} with zero ridge; "
+                "set a positive ridge"
+            )
+        gram[..., range(k), range(k)] += self.penalty[..., None]
         try:
             self._factor = np.linalg.cholesky(gram)
         except np.linalg.LinAlgError:
+            failed = np.zeros(gram.shape[:-2], dtype=bool)
+            for index in np.ndindex(failed.shape):
+                try:
+                    np.linalg.cholesky(gram[index])
+                except np.linalg.LinAlgError:
+                    failed[index] = True
             raise ValueError(
-                f"ridge Gram matrix is not positive definite at ridge {ridge}; "
-                "set a larger ridge"
+                f"ridge Gram matrix{self._where(failed)} is not positive definite at "
+                f"ridge {ridge}; set a larger ridge"
             ) from None
+
+    @staticmethod
+    def _where(failed):
+        """' at stack index i' for the first failed design of a stack; '' for one design."""
+        return f" at stack index {np.flatnonzero(failed)[0]}" if failed.ndim else ""
 
     @cached_property
     def _singular_values(self):
         return np.linalg.svd(self.design, compute_uv=False)
 
+    @cached_property
+    def _full_rank(self):
+        """Per design: smallest singular value above s_max * max(M, k) * eps."""
+        s = self._singular_values
+        return s[..., -1] > s[..., 0] * max(self.design.shape[-2:]) * np.finfo(float).eps
+
     @property
     def condition(self):
-        """Ratio of the largest to the smallest singular value of the design."""
+        """Ratio of the largest to the smallest singular value of the design.
+
+        For a stack, the largest ratio over its designs of full numerical
+        rank (the rank rule of ridge = 0), or over all of them when none has
+        full rank: a rank-deficient design, fitted by the ridge alone, would
+        otherwise hide the conditioning of the rest of its stack.
+        """
         s = self._singular_values
-        return float(s[0] / s[-1]) if s[-1] > 0 else float("inf")
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ratios = np.where(s[..., -1] > 0, s[..., 0] / s[..., -1], np.inf)
+        full = self._full_rank
+        return float(np.max(ratios[full] if full.any() else ratios))
 
     def solve(self, targets):
-        """Ridge coefficients for one or many target columns."""
-        rhs = self.design.T @ np.asarray(targets, dtype=float)
-        return np.linalg.solve(self._factor.T, np.linalg.solve(self._factor, rhs))
+        """Ridge coefficients for one or many target columns per design."""
+        rhs = np.swapaxes(self.design, -1, -2) @ np.asarray(targets, dtype=float)
+        upper = np.swapaxes(self._factor, -1, -2)
+        return np.linalg.solve(upper, np.linalg.solve(self._factor, rhs))
 
     def fitted(self, coeffs):
         return self.design @ coeffs

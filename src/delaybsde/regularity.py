@@ -26,6 +26,7 @@ from .regression import BasisSpec, DesignSolver, expand_features
 from .solver import picard_solve
 
 __all__ = [
+    "STATE_BASIS",
     "RateReport",
     "PerturbationReport",
     "fit_loglog_slope",
@@ -37,6 +38,11 @@ __all__ = [
     "apriori_scaling",
     "moment_check",
 ]
+
+
+# Default basis of apriori_scaling: state features only, so the projection
+# is the same at every perturbation scale.
+STATE_BASIS = BasisSpec(features=("x",))
 
 
 @dataclass(frozen=True)
@@ -125,51 +131,52 @@ def y_increment_rate(solution, p, separations, target_tol=0.3, label="y-incremen
     )
 
 
-def _trapezoid_cell(dev_sq, cell_dt):
-    """Time integral of a per-node squared deviation over one coarse cell.
+def _cell_deviation(z_ref, centers, cell_dt):
+    """Per-path time integral of |z_ref - center|^2 over every coarse cell.
 
-    dev_sq: (M, stride + 1) squared deviations at the fine nodes of the cell.
-    Trapezoid in the fine cells; expected squared deviations of diffusion-type
-    controls are linear in time, so this removes the sampling bias a
-    left-Riemann rule would leave at small strides.
+    z_ref: (M, N+1, m, d); centers: one value per coarse cell and path,
+    (Nc, M, m, d); cell_dt: fine steps per cell, (Nc, stride).  Trapezoid in
+    the fine cells; expected squared deviations of diffusion-type controls
+    are linear in time, so this removes the sampling bias a left-Riemann rule
+    would leave at small strides.  The cells are added in time order.
     """
-    mids = 0.5 * (dev_sq[:, :-1] + dev_sq[:, 1:])
-    return np.tensordot(mids, cell_dt, axes=(1, 0))
+    n_cells, stride = cell_dt.shape
+    nodes = np.arange(n_cells)[:, None] * stride + np.arange(stride + 1)
+    dev = np.moveaxis(z_ref[:, nodes], 0, 1) - centers[:, :, None]
+    dev_sq = np.sum(dev**2, axis=(-2, -1))
+    mids = np.ascontiguousarray(0.5 * (dev_sq[..., :-1] + dev_sq[..., 1:]))
+    return np.sum((mids @ cell_dt[..., None])[..., 0], axis=0)
 
 
 def _coarse_projection(forward, z_ref, coarse_steps, basis):
     """Conditional time-averages of the reference control on a coarse mesh.
 
-    Returns (z_bar (M, Nc, m, d), the mean-square deviation functional summed
-    over the horizon, per-path functional values).
+    The cell averages are regressed on the state at each cell's left node,
+    all cells in one stacked fit.  Returns (the mean-square deviation
+    functional summed over the horizon, per-path functional values).
     """
     grid = forward.grid
     n_ref = len(grid) - 1
     if n_ref % coarse_steps:
         raise ValueError(f"coarse mesh {coarse_steps} does not divide the reference mesh {n_ref}")
     stride = n_ref // coarse_steps
-    dt_ref = np.diff(grid)
+    cell_dt = np.diff(grid).reshape(coarse_steps, stride)
     m_paths = z_ref.shape[0]
-    per_path = np.zeros(m_paths)
-    z_bar = np.zeros((m_paths, coarse_steps, *z_ref.shape[2:]))
-    for i in range(coarse_steps):
-        lo, hi = i * stride, (i + 1) * stride
-        cell_dt = dt_ref[lo:hi]
-        mids = 0.5 * (z_ref[:, lo:hi] + z_ref[:, lo + 1 : hi + 1])
-        avg = np.tensordot(cell_dt, mids, axes=(0, 1)) / np.sum(cell_dt)
-        feats = forward.x[:, lo]
-        solver = DesignSolver(expand_features(feats, basis.degree), basis.ridge)
-        coeff = solver.solve(avg.reshape(m_paths, -1))
-        z_bar[:, i] = solver.fitted(coeff).reshape(avg.shape)
-        dev = z_ref[:, lo : hi + 1] - z_bar[:, i][:, None]
-        per_path += _trapezoid_cell(np.sum(dev**2, axis=(-2, -1)), cell_dt)
-    return z_bar, float(np.mean(per_path)), per_path
+    mids = 0.5 * (z_ref[:, :-1] + z_ref[:, 1:])
+    mids = np.moveaxis(mids, 1, 0).reshape(coarse_steps, stride, -1)
+    avg = (cell_dt[:, None, :] @ mids) / np.sum(cell_dt, axis=1)[:, None, None]
+    feats = np.moveaxis(forward.x[:, :n_ref:stride], 1, 0)
+    solver = DesignSolver(expand_features(feats, basis.degree), basis.ridge)
+    coeff = solver.solve(avg.reshape(coarse_steps, m_paths, -1))
+    z_bar = solver.fitted(coeff).reshape(coarse_steps, m_paths, *z_ref.shape[2:])
+    per_path = _cell_deviation(z_ref, z_bar, cell_dt)
+    return float(np.mean(per_path)), per_path
 
 
 def coarse_control_error(forward, z_ref, coarse_steps, basis=None):
     """Mean-square deviation of the control from its coarse-mesh projection."""
     basis = basis or BasisSpec()
-    return _coarse_projection(forward, z_ref, coarse_steps, basis)[1]
+    return _coarse_projection(forward, z_ref, coarse_steps, basis)[0]
 
 
 def l2_regularity(forward, z_ref, coarse_meshes, basis=None,
@@ -184,7 +191,7 @@ def l2_regularity(forward, z_ref, coarse_meshes, basis=None,
     basis = basis or BasisSpec()
     horizon = float(forward.grid[-1])
     values = [
-        _coarse_projection(forward, z_ref, nc, basis)[1] for nc in coarse_meshes
+        _coarse_projection(forward, z_ref, nc, basis)[0] for nc in coarse_meshes
     ]
     sizes = [horizon / nc for nc in coarse_meshes]
     slope, intercept, resid = fit_loglog_slope(sizes, values)
@@ -210,15 +217,12 @@ def best_approx_check(forward, z_ref, coarse_steps, basis=None):
     basis = basis or BasisSpec()
     grid = forward.grid
     n_ref = len(grid) - 1
+    e_bar, per_path_bar = _coarse_projection(forward, z_ref, coarse_steps, basis)
     stride = n_ref // coarse_steps
-    dt_ref = np.diff(grid)
-    _, e_bar, per_path_bar = _coarse_projection(forward, z_ref, coarse_steps, basis)
     m_paths = z_ref.shape[0]
-    per_path_node = np.zeros(m_paths)
-    for i in range(coarse_steps):
-        lo, hi = i * stride, (i + 1) * stride
-        dev = z_ref[:, lo : hi + 1] - z_ref[:, lo][:, None]
-        per_path_node += _trapezoid_cell(np.sum(dev**2, axis=(-2, -1)), dt_ref[lo:hi])
+    left_nodes = np.moveaxis(z_ref[:, :n_ref:stride], 1, 0)
+    per_path_node = _cell_deviation(z_ref, left_nodes,
+                                    np.diff(grid).reshape(coarse_steps, stride))
     e_node = float(np.mean(per_path_node))
     gap = per_path_bar - per_path_node
     se = float(np.std(gap, ddof=1) / np.sqrt(m_paths))
@@ -251,9 +255,9 @@ def apriori_scaling(problem, forward, epsilons, terminal_shift=1.0, driver_shift
     The terminal payoff is shifted by eps * terminal_shift and the driver by
     the constant eps * driver_shift; all solves share the forward bundle, so
     measured norms isolate the response.  The regression basis defaults to
-    state features only, keeping the projection identical across scales.
+    STATE_BASIS.
     """
-    basis = basis or BasisSpec(features=("x",))
+    basis = basis or STATE_BASIS
     base = picard_solve(problem, forward, basis, max_sweeps, tol)
     beta = problem.beta
     grid = forward.grid

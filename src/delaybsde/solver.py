@@ -29,6 +29,7 @@ Z_t = grad_Y_t (grad_X_t)^{-1} sigma(t, X_t).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from functools import lru_cache
 
@@ -45,6 +46,7 @@ __all__ = [
     "VariationalBundle",
     "FdReport",
     "picard_solve",
+    "regression_basis",
     "variational_solve",
     "representation_z",
     "fd_directional_check",
@@ -129,13 +131,18 @@ class VariationalBundle:
 def _convolve_nodes(weights, values):
     """Node-wise delayed convolution of per-path node values.
 
-    weights: (N+1, N) cell weights; values: (M, N+1, ...).  Returns
-    (M, N+1, ...) where entry i sums weights[i, j] * values[:, j].
+    weights: (N+1, N) cell weights; values: node-major (N+1, M, ...).
+    Returns node-major (N+1, M, ...) where entry i sums
+    weights[i, j] * values[j].
     """
     if not weights.any():
-        return np.zeros((values.shape[0], weights.shape[0], *values.shape[2:]))
-    out = np.tensordot(weights, values[:, : weights.shape[1]], axes=(1, 1))
-    return np.moveaxis(out, 0, 1)
+        return np.zeros((weights.shape[0], *values.shape[1:]))
+    return np.tensordot(weights, values[: weights.shape[1]], axes=(1, 0))
+
+
+def _path_major(values):
+    """Path-major (M, N+1, ...) view of node-major values, and back."""
+    return np.moveaxis(values, 0, 1)
 
 
 @lru_cache(maxsize=16)
@@ -150,84 +157,124 @@ def _cached_weights(measure, grid_bytes):
     return weights
 
 
-def _solve_setup(problem, forward, basis):
-    """Cell weights, delayed forward state and regression features of one solve.
+def regression_basis(problem, basis):
+    """Feature names of a solve's regressions and the basis size k they give.
 
     Selected features with zero-mass delay measures are dropped: their
     convolutions vanish identically and would only burn basis size.  When
     none is left the state alone is used.
     """
+    measures = {"xdel": problem.alpha_x, "ydel": problem.alpha_y, "zdel": problem.alpha_z}
+    features = [name for name in basis.features
+                if name not in measures or not measures[name].is_zero] or ["x"]
+    width = {"x": problem.dim_x, "xdel": problem.dim_x, "ydel": problem.dim_y,
+             "zdel": problem.dim_y * problem.dim_x}
+    n_columns = sum(width[name] for name in features)
+    return features, math.comb(n_columns + basis.degree, basis.degree)
+
+
+def _solve_setup(problem, forward, basis):
+    """Cell weights, node-major delayed forward state and regression basis of one solve."""
     grid_bytes = np.asarray(forward.grid, dtype=float).tobytes()
     measures = (problem.alpha_x, problem.alpha_y, problem.alpha_z)
     wx, wy, wz = (_cached_weights(m, grid_bytes) for m in measures)
-    xdel_all = _convolve_nodes(wx, forward.x)
-    dropped = {name for name, m in zip(("xdel", "ydel", "zdel"), measures) if m.is_zero}
-    features = [name for name in basis.features if name not in dropped] or ["x"]
-    return wx, wy, wz, xdel_all, features
+    xdel_all = _convolve_nodes(wx, _path_major(forward.x))
+    return wx, wy, wz, xdel_all, regression_basis(problem, basis)
 
 
 def _suffix_sums(terminal_vals, f_all, dt):
-    """Tail sums g + sum_{j>=i} f_j dt_j per path and node, (M, N+1, m).
+    """Tail sums g + sum_{j>=i} f_j dt_j per node and path, node-major (N+1, M, m).
 
-    Accumulates backward from the terminal node, adding in the same order as
-    a node-by-node loop.
+    f_all: node-major driver values (N+1, M, m).  Accumulates backward from
+    the terminal node, adding in the same order as a node-by-node loop.
     """
     n = len(dt)
-    suffix = np.empty((f_all.shape[0], n + 1, f_all.shape[2]))
-    suffix[:, n] = terminal_vals
-    np.multiply(f_all[:, :n], dt[None, :, None], out=suffix[:, :n])
-    np.add.accumulate(suffix[:, ::-1], axis=1, out=suffix[:, ::-1])
+    suffix = np.empty((n + 1, *terminal_vals.shape))
+    suffix[n] = terminal_vals
+    np.multiply(f_all[:n], dt[:, None, None], out=suffix[:n])
+    np.add.accumulate(suffix[::-1], axis=0, out=suffix[::-1])
     return suffix
 
 
-def _run_sweeps(forward, terminal_vals, wy, wz, driver_all, xdel_all, features, basis,
+def _max_rms(squares):
+    """Largest RMS over paths of node-major (N+1, M) squares.
+
+    The mean runs over a path-major copy, so paths are summed in the same
+    order as for a path-major iterate.
+    """
+    return float(np.max(np.sqrt(np.mean(np.ascontiguousarray(squares.T), axis=0))))
+
+
+# Bytes of regression design that one stacked fit may hold: a sweep fits its
+# nodes in blocks of max(1, DESIGN_BUDGET // (M k 8)) nodes, which bounds the
+# memory a block adds to the sweep's own (N+1, M, ...) arrays.  At 1 MiB the
+# benchmark's Monte Carlo workloads hold no more live memory than with one fit
+# per node; at 4 MiB their peak RSS rose by 5-11 MB.
+DESIGN_BUDGET = 2**20
+
+
+def _run_sweeps(forward, terminal_vals, wy, wz, driver_all, xdel_all, basis_plan, basis,
                 max_sweeps, tol):
     """Shared Picard engine for the base and the variational solves.
 
     wy, wz: cell weights of the delayed value and control convolutions;
-    driver_all(ydel_all, zdel_all) -> per-node driver values (M, N+1, m), of
-    which node N is never read;
-    features: names of the regression features, read at each node from the
-    state, xdel_all and the current sweep's convolutions.  Sweeps stop once
-    the max-node RMS update of both components drops below tol.
+    driver_all(ydel_all, zdel_all) -> per-node driver values (M, N+1, m) from
+    path-major convolutions, of which node N is never read;
+    xdel_all: node-major delayed state; basis_plan: regression feature names
+    and basis size k, the features read at each node from the state, xdel_all
+    and the current sweep's convolutions.  The iterate is node-major, and each
+    sweep walks node blocks backward from the terminal node with one stacked
+    fit per block.  Sweeps stop once the max-node RMS update of both
+    components drops below tol.  Returns path-major (M, N+1, ...) arrays.
     """
-    grid, dw = forward.grid, forward.dw
+    grid = forward.grid
+    x_nodes, dw_nodes = _path_major(forward.x), _path_major(forward.dw)
     n = len(grid) - 1
     dt = np.diff(grid)
     m_paths, dim_y = terminal_vals.shape
-    dim_ctrl = dw.shape[2]
-    y = np.zeros((m_paths, n + 1, dim_y))
-    z = np.zeros((m_paths, n + 1, dim_y, dim_ctrl))
+    dim_ctrl = dw_nodes.shape[2]
+    features, k = basis_plan
+    block = max(1, DESIGN_BUDGET // (m_paths * k * 8))
+    y = np.zeros((n + 1, m_paths, dim_y))
+    z = np.zeros((n + 1, m_paths, dim_y, dim_ctrl))
     diffs_y, diffs_z = [], []
     sweeps = 0
     for _ in range(max_sweeps):
         ydel_all, zdel_all = _convolve_nodes(wy, y), _convolve_nodes(wz, z)
-        f_all = driver_all(ydel_all, zdel_all)
-        named = {"x": forward.x, "xdel": xdel_all, "ydel": ydel_all, "zdel": zdel_all}
+        f_all = _path_major(driver_all(_path_major(ydel_all), _path_major(zdel_all)))
+        named = {"x": x_nodes, "xdel": xdel_all, "ydel": ydel_all, "zdel": zdel_all}
         columns = [named[name] for name in features]
         suffix = _suffix_sums(terminal_vals, f_all, dt)
         y_new = np.zeros_like(y)
         z_new = np.zeros_like(z)
-        y_new[:, n] = terminal_vals
-        yhat_next = terminal_vals
-        for i in range(n - 1, -1, -1):
-            feats = np.concatenate([c[:, i].reshape(m_paths, -1) for c in columns], axis=1)
+        y_new[n] = terminal_vals
+        for hi in range(n, 0, -block):
+            lo = max(0, hi - block)
+            feats = np.concatenate([c[lo:hi].reshape(hi - lo, m_paths, -1) for c in columns],
+                                   axis=-1)
+            design = expand_features(feats, basis.degree)
             try:
-                solver = DesignSolver(expand_features(feats, basis.degree), basis.ridge)
-            except ValueError as exc:
-                raise ValueError(f"regression failed at node {i}, sweep {sweeps + 1}: {exc}") from exc
-            coeff_y = solver.solve(suffix[:, i])
-            y_i = solver.fitted(coeff_y)
-            innovation = yhat_next - y_i + f_all[:, i] * dt[i]
-            ctrl_target = innovation[:, :, None] * dw[:, i, None, :] / dt[i]
-            coeff_z = solver.solve(ctrl_target.reshape(m_paths, -1))
-            z_new[:, i] = solver.fitted(coeff_z).reshape(m_paths, dim_y, dim_ctrl)
-            y_new[:, i] = y_i
-            yhat_next = y_i
+                solver = DesignSolver(design, basis.ridge)
+            except ValueError:
+                # A stacked factorization fails for the whole block: refit the
+                # block's nodes one by one, from the top, to name the node.
+                for i in range(hi - 1, lo - 1, -1):
+                    try:
+                        DesignSolver(design[i - lo], basis.ridge)
+                    except ValueError as exc:
+                        raise ValueError(
+                            f"regression failed at node {i}, sweep {sweeps + 1}: {exc}"
+                        ) from exc
+                raise
+            y_new[lo:hi] = solver.fitted(solver.solve(suffix[lo:hi]))
+            step = dt[lo:hi, None, None]
+            innovation = y_new[lo + 1 : hi + 1] - y_new[lo:hi] + f_all[lo:hi] * step
+            ctrl_target = innovation[..., None] * dw_nodes[lo:hi, :, None, :] / step[..., None]
+            coeff_z = solver.solve(ctrl_target.reshape(hi - lo, m_paths, -1))
+            z_new[lo:hi] = solver.fitted(coeff_z).reshape(hi - lo, m_paths, dim_y, dim_ctrl)
         with np.errstate(over="ignore", invalid="ignore"):
-            diff_y = float(np.max(np.sqrt(np.mean(np.sum((y_new - y) ** 2, axis=-1), axis=0))))
-            dz = np.sum((z_new - z) ** 2, axis=(-2, -1))
-            diff_z = float(np.max(np.sqrt(np.mean(dz, axis=0))))
+            diff_y = _max_rms(np.sum((y_new - y) ** 2, axis=-1))
+            diff_z = _max_rms(np.sum((z_new - z) ** 2, axis=(-2, -1)))
         y, z = y_new, z_new
         sweeps += 1
         diffs_y.append(diff_y)
@@ -239,6 +286,7 @@ def _run_sweeps(forward, terminal_vals, wy, wz, driver_all, xdel_all, features, 
             )
         if max(diff_y, diff_z) < tol:
             break
+    y, z = (np.ascontiguousarray(_path_major(a)) for a in (y, z))
     return y, z, tuple(diffs_y), tuple(diffs_z), sweeps
 
 
@@ -251,14 +299,15 @@ def picard_solve(problem, forward, basis=None, max_sweeps=8, tol=1e-3):
     """
     basis = basis or BasisSpec()
     grid = forward.grid
-    _, wy, wz, xdel_all, features = _solve_setup(problem, forward, basis)
+    _, wy, wz, xdel_all, plan = _solve_setup(problem, forward, basis)
     terminal_vals = problem.terminal.value(forward.x[:, -1])
+    xdel_paths = _path_major(xdel_all)
 
     def driver_all(ydel_all, zdel_all):
-        return problem.driver.value(grid, xdel_all, ydel_all, zdel_all)
+        return problem.driver.value(grid, xdel_paths, ydel_all, zdel_all)
 
     y, z, diffs_y, diffs_z, sweeps = _run_sweeps(
-        forward, terminal_vals, wy, wz, driver_all, xdel_all, features, basis, max_sweeps, tol,
+        forward, terminal_vals, wy, wz, driver_all, xdel_all, plan, basis, max_sweeps, tol,
     )
     report = constants_report(problem.structural_params())
     feasibility = {
@@ -283,14 +332,14 @@ def variational_solve(problem, forward, base, h, basis=None, max_sweeps=8, tol=1
     """
     basis = basis or BasisSpec()
     h = np.asarray(h, dtype=float)
-    wx, wy, wz, xdel_all, features = _solve_setup(problem, forward, basis)
-    ydel_base = _convolve_nodes(wy, base.y)
-    zdel_base = _convolve_nodes(wz, base.z)
+    wx, wy, wz, xdel_all, plan = _solve_setup(problem, forward, basis)
+    ydel_base, zdel_base = (_path_major(_convolve_nodes(w, _path_major(v)))
+                            for w, v in ((wy, base.y), (wz, base.z)))
     grad_x_h = np.einsum("pijk,k->pij", forward.grad_x, h)
-    xdel_dir = _convolve_nodes(wx, grad_x_h)
+    xdel_dir = _path_major(_convolve_nodes(wx, _path_major(grad_x_h)))
 
     driver = problem.driver
-    args = (forward.grid, xdel_all, ydel_base, zdel_base)
+    args = (forward.grid, _path_major(xdel_all), ydel_base, zdel_base)
     const_all = np.einsum("pjmd,pjd->pjm", driver.grad_x(*args), xdel_dir)
     grad_y_all = driver.grad_y(*args)
     grad_z_all = driver.grad_z(*args)
@@ -306,7 +355,7 @@ def variational_solve(problem, forward, base, h, basis=None, max_sweeps=8, tol=1
         return out
 
     p, q, diffs_p, diffs_q, sweeps = _run_sweeps(
-        forward, terminal_vals, wy, wz, driver_all, xdel_all, features, basis, max_sweeps, tol,
+        forward, terminal_vals, wy, wz, driver_all, xdel_all, plan, basis, max_sweeps, tol,
     )
     return VariationalBundle(
         direction=h, p=p, q=q,

@@ -368,6 +368,34 @@ class TestBasisFeatureValidation:
         assert not out.exists()
 
 
+class TestPathCountValidation:
+    # delayed_control.json selects x, ydel and zdel (alpha_x has no mass): a
+    # degree-2 basis of 10 functions; study-apriori fits on x alone (3).
+    @pytest.mark.parametrize("command, paths, k", [
+        ("solve", 20, 10), ("study-l2reg", 40, 10), ("fd-check", 99, 10),
+        ("study-apriori", 20, 3),
+    ])
+    def test_too_few_paths_exit_2_before_simulating(self, tmp_path, capsys, monkeypatch,
+                                                    command, paths, k):
+        def no_simulation(*args, **kwargs):
+            raise AssertionError("simulated paths before checking the path count")
+
+        monkeypatch.setattr(cli, "simulate_forward", no_simulation)
+        monkeypatch.setattr("delaybsde.solver.simulate_forward", no_simulation)
+        out = tmp_path / "out"
+        argv = [command, "--config", str(CONFIGS / "delayed_control.json"), "--out", str(out),
+                "--paths", str(paths)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert f"config error: basis size {k} needs at least {10 * k} paths, got {paths}" in err
+        assert not out.exists()
+
+    def test_ten_paths_per_basis_function_accepted(self, tmp_path):
+        argv = ["solve", "--config", str(CONFIGS / "delayed_control.json"),
+                "--out", str(tmp_path / "out"), "--paths", "100", "--picard", "2"]
+        assert main(argv) == 0
+
+
 class TestStudyInputValidation:
     @pytest.mark.parametrize("command, study, flags, message", [
         ("fd-check", {"fd_epsilons": [0.5, 0]}, [],
@@ -444,14 +472,14 @@ def _singular_flow(cfg):
 
 # Every command fails on the two input errors that surface only when the
 # problem is built, and every command with a regression or forward bundle on
-# a numerical failure: study-apriori fixes its own basis, so its failure is a
-# singular flow; check-constants runs neither.
+# a numerical failure; study-apriori also on a singular flow under its
+# default basis.  check-constants runs neither.
 _FAILURES = [
     *((command, _unknown_forward_preset, 2, "unknown forward preset 'ornstein_uhlenbeck'")
       for command in _COMMANDS),
     *((command, _long_x0, 2, "forward.x0 must have length dim_x=1") for command in _COMMANDS),
     *((command, _zero_ridge, 1, "regression failed at node")
-      for command in _COMMANDS if command not in ("check-constants", "study-apriori")),
+      for command in _COMMANDS if command != "check-constants"),
     ("study-apriori", _singular_flow, 1, "singular variational flow at path 0, node 1"),
 ]
 

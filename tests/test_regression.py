@@ -19,10 +19,21 @@ def gaussian_pair(m, t, T, seed=0):
 
 
 def fit(features, targets, degree=2, ridge=1e-8):
-    """Coefficients and fitted values of targets on the polynomial basis of features."""
-    solver = DesignSolver(expand_features(features, degree), ridge)
-    coeffs = solver.solve(targets)
-    return coeffs, solver.fitted(coeffs)
+    """Coefficients and fitted values of targets on the polynomial basis of features.
+
+    The fit runs on a stack of one design, and must give the same numbers as
+    the design alone.
+    """
+    design = expand_features(features, degree)
+    targets = np.asarray(targets, dtype=float)
+    columns = targets.reshape(len(design), -1)
+    stacked = DesignSolver(design[None], ridge)
+    coeffs = stacked.solve(columns[None])
+    fitted = stacked.fitted(coeffs)
+    single = DesignSolver(design, ridge)
+    assert np.array_equal(coeffs[0], single.solve(columns))
+    assert np.array_equal(fitted[0], single.fitted(coeffs[0]))
+    return coeffs[0].reshape(-1, *targets.shape[1:]), fitted[0].reshape(targets.shape)
 
 
 def column_builder(features, degree):
@@ -136,6 +147,75 @@ class TestCholeskyAgainstSvd:
     def test_tiny_ridge_names_the_ridge(self):
         with pytest.raises(ValueError, match="ridge 1e-300; set a larger ridge"):
             DesignSolver(self._ill_conditioned(), ridge=1e-300)
+
+
+def _stack_features(m=700):
+    """Sweep-like node features (x, xdel, ydel) of four nodes, as one stack."""
+    rng = np.random.default_rng(31)
+    x = rng.normal(size=(m, 3))
+    return np.stack([
+        x,
+        np.zeros((m, 3)),  # node 0: every path sits at x0 = 0, no delay reached yet
+        np.column_stack([x[:, 0], x[:, 1], np.zeros(m)]),  # a delayed column still zero
+        x**3,
+    ])
+
+
+class TestStackedSolver:
+    def test_stacked_expansion_equals_per_design(self):
+        feats = _stack_features()
+        designs = expand_features(feats, 2)
+        assert designs.shape == (4, 700, 10)
+        assert np.swapaxes(designs, -1, -2).flags.c_contiguous
+        for i, f in enumerate(feats):
+            assert np.array_equal(designs[i], expand_features(f, 2))
+
+    @pytest.mark.parametrize("n_targets", [1, 3])
+    def test_stack_equals_per_design_solvers(self, n_targets):
+        feats = _stack_features()
+        designs = expand_features(feats, 2)
+        targets = np.random.default_rng(n_targets).normal(size=(4, 700, n_targets))
+        stacked = DesignSolver(designs)
+        coeffs = stacked.solve(targets)
+        fitted = stacked.fitted(coeffs)
+        assert coeffs.shape == (4, 10, n_targets) and fitted.shape == targets.shape
+        for i, f in enumerate(feats):
+            single = DesignSolver(expand_features(f, 2))
+            assert np.array_equal(coeffs[i], single.solve(targets[i]))
+            assert np.array_equal(fitted[i], single.fitted(coeffs[i]))
+            assert single.penalty == stacked.penalty[i]
+
+    def test_any_leading_batch_shape(self):
+        feats = _stack_features().reshape(2, 2, 700, 3)
+        targets = np.random.default_rng(4).normal(size=(2, 2, 700, 1))
+        solver = DesignSolver(expand_features(feats, 2))
+        flat = DesignSolver(expand_features(feats.reshape(4, 700, 3), 2))
+        assert np.array_equal(solver.solve(targets).reshape(4, 10, 1),
+                              flat.solve(targets.reshape(4, 700, 1)))
+
+    def test_zero_ridge_names_the_rank_deficient_design(self):
+        designs = expand_features(_stack_features()[[0, 3, 1, 0]], 2)
+        with pytest.raises(ValueError, match="rank-deficient design at stack index 2 "):
+            DesignSolver(designs, ridge=0.0)
+        with pytest.raises(ValueError, match="^rank-deficient design with zero ridge"):
+            DesignSolver(designs[2], ridge=0.0)
+
+    def test_failed_factorization_names_the_design(self):
+        good = np.column_stack([np.ones(1024), np.random.default_rng(5).normal(size=1024)])
+        stack = np.stack([good, TestCholeskyAgainstSvd._ill_conditioned(), good])
+        with pytest.raises(ValueError, match="Gram matrix at stack index 1 is not positive "
+                                             "definite at ridge 0.0"):
+            DesignSolver(stack, ridge=0.0)
+
+    def test_condition_is_a_float_over_the_full_rank_designs(self):
+        designs = expand_features(_stack_features(), 2)
+        singles = [DesignSolver(d).condition for d in designs]
+        assert np.isinf(singles[1]) and singles[2] > 1e12
+        condition = DesignSolver(designs).condition
+        assert type(condition) is float
+        assert condition == max(singles[0], singles[3]) < 1e12
+        # a stack with no design of full rank reads its largest ratio
+        assert np.isinf(DesignSolver(designs[1:3]).condition)
 
 
 class TestBasisSpec:

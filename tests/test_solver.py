@@ -5,7 +5,7 @@ from delaybsde import forward as forward_module
 from delaybsde.forward import SdeCoefficients, make_forward, simulate_forward
 from delaybsde.generators import make_driver, make_terminal
 from delaybsde.measures import DelayMeasure, _row_weights, cell_weights
-from delaybsde.regression import BasisSpec
+from delaybsde.regression import BasisSpec, DesignSolver
 from delaybsde import solver as solver_module
 from delaybsde.solver import (
     DelayFbsdeProblem,
@@ -13,6 +13,7 @@ from delaybsde.solver import (
     _suffix_sums,
     fd_directional_check,
     picard_solve,
+    regression_basis,
     representation_z,
     variational_solve,
 )
@@ -54,10 +55,15 @@ def solve(prob, n_steps=20, n_paths=4000, seed=3, basis=None, sweeps=8, tol=1e-4
     return fwd, sol
 
 
+def convolve_paths(weights, values):
+    """The solver's node convolution of path-major (M, N+1, ...) values, path-major."""
+    return np.moveaxis(_convolve_nodes(weights, np.moveaxis(values, 1, 0)), 0, 1)
+
+
 def theta(prob, fwd, sol):
     """Delayed convolutions (xdel, ydel, zdel) at every node, as the solver forms them."""
     pairs = ((prob.alpha_x, fwd.x), (prob.alpha_y, sol.y), (prob.alpha_z, sol.z))
-    return [_convolve_nodes(cell_weights(m, fwd.grid), v) for m, v in pairs]
+    return [convolve_paths(cell_weights(m, fwd.grid), v) for m, v in pairs]
 
 
 class TestDiscreteTheta:
@@ -82,8 +88,8 @@ class TestDiscreteTheta:
         weights = cell_weights(measure, grid)
         # at the terminal node the full density window is reachable
         assert weights[-1].sum() == pytest.approx(0.5)
-        conv = _convolve_nodes(weights, np.ones((8, 21, 1)))
-        assert np.allclose(conv[:, -1], 0.5, rtol=1e-12, atol=0.0)
+        conv = _convolve_nodes(weights, np.ones((21, 8, 1)))
+        assert np.allclose(conv[-1], 0.5, rtol=1e-12, atol=0.0)
 
     def test_one_step_lag_weights_are_subdiagonal(self):
         n = 10
@@ -103,16 +109,16 @@ class TestNodeConvolution:
         weights = cell_weights(
             DelayMeasure(T, atoms=((-0.125, 0.6),), density_pieces=((-0.4, -0.2, 1.3),)), grid
         )
-        for shape in ((30, 25, 1), (30, 25, 2, 3)):
+        for shape in ((25, 30, 1), (25, 30, 2, 3)):
             values = rng.normal(size=shape)
-            flat = values[:, :24].reshape(30, 24, -1)
-            dense = np.einsum("ij,pjk->pik", weights, flat).reshape(30, 25, *shape[2:])
+            flat = values[:24].reshape(24, 30, -1)
+            dense = np.einsum("ij,jpk->ipk", weights, flat).reshape(25, 30, *shape[2:])
             out = _convolve_nodes(weights, values)
             assert out.shape == shape
             assert np.max(np.abs(out - dense)) <= 1e-13
 
     def test_zero_weights_give_exact_zeros(self):
-        values = np.random.default_rng(2).normal(size=(7, 11, 1, 2))
+        values = np.random.default_rng(2).normal(size=(11, 7, 1, 2))
         out = _convolve_nodes(np.zeros((11, 10)), values)
         assert out.shape == values.shape
         assert not out.any()
@@ -294,12 +300,12 @@ class TestPicardSolve:
         grid = np.concatenate([[0.0], np.cumsum(rng.uniform(0.01, 0.1, 23))])
         dt = np.diff(grid)
         n = len(dt)
-        f_all = rng.normal(size=(50, n + 1, dim_y))
+        f_all = rng.normal(size=(n + 1, 50, dim_y))
         terminal_vals = rng.normal(size=(50, dim_y))
-        loop = np.zeros((50, n + 1, dim_y))
-        loop[:, n] = terminal_vals
+        loop = np.zeros((n + 1, 50, dim_y))
+        loop[n] = terminal_vals
         for i in range(n - 1, -1, -1):
-            loop[:, i] = loop[:, i + 1] + f_all[:, i] * dt[i]
+            loop[i] = loop[i + 1] + f_all[i] * dt[i]
         assert np.array_equal(_suffix_sums(terminal_vals, f_all, dt), loop)
 
 
@@ -311,9 +317,21 @@ class TestFeatureSelection:
     def test_zero_mass_features_dropped_in_order(self, features, expected):
         # only alpha_z has mass, so xdel and ydel vanish identically
         prob = problem(make_driver("zero"), make_terminal("identity"), alpha_z=lag_atom())
-        fwd = simulate_forward(prob.forward, prob.x0, np.linspace(0.0, T, 5), 20, 0)
-        setup = solver_module._solve_setup(prob, fwd, BasisSpec(features=features))
-        assert setup[-1] == expected
+        assert regression_basis(prob, BasisSpec(features=features))[0] == expected
+
+    @pytest.mark.parametrize("case", ["all_delays_case", "brownian_2d_case"])
+    def test_basis_size_counts_the_design_columns(self, monkeypatch, case):
+        prob, basis = getattr(TestNodeBlocks(), case)()
+        widths = []
+
+        def recording(design, ridge):
+            widths.append(design.shape[-1])
+            return DesignSolver(design, ridge)
+
+        monkeypatch.setattr(solver_module, "DesignSolver", recording)
+        fwd = simulate_forward(prob.forward, prob.x0, np.linspace(0.0, T, 9), 200, 0)
+        picard_solve(prob, fwd, basis, 2, 1e-12)
+        assert set(widths) == {regression_basis(prob, basis)[1]}
 class TestVariational:
     def test_identity_terminal_gives_unit_derivative(self):
         prob = problem(make_driver("zero"), make_terminal("identity"))
@@ -637,33 +655,33 @@ class TestFdCheckSharedNoise:
 
 def per_node_picard(prob, fwd, basis, sweeps, tol):
     """picard_solve's sweeps with the driver called once per node below N."""
-    _, wy, wz, xdel_all, features = solver_module._solve_setup(prob, fwd, basis)
+    _, wy, wz, xdel_all, plan = solver_module._solve_setup(prob, fwd, basis)
     grid, n = fwd.grid, len(fwd.grid) - 1
 
     def driver_all(ydel_all, zdel_all):
         out = np.zeros((fwd.n_paths, n + 1, prob.dim_y))
         for j in range(n):
-            out[:, j] = prob.driver.value(grid[j], xdel_all[:, j], ydel_all[:, j],
+            out[:, j] = prob.driver.value(grid[j], xdel_all[j], ydel_all[:, j],
                                           zdel_all[:, j])
         return out
 
     terminal_vals = prob.terminal.value(fwd.x[:, -1])
     return solver_module._run_sweeps(fwd, terminal_vals, wy, wz, driver_all, xdel_all,
-                                     features, basis, sweeps, tol)
+                                     plan, basis, sweeps, tol)
 
 
 def per_node_variational(prob, fwd, base, h, basis, sweeps, tol):
     """variational_solve's sweeps with the driver gradients taken once per node below N."""
-    wx, wy, wz, xdel_all, features = solver_module._solve_setup(prob, fwd, basis)
+    wx, wy, wz, xdel_all, plan = solver_module._solve_setup(prob, fwd, basis)
     grid, n, m, d = fwd.grid, len(fwd.grid) - 1, prob.dim_y, prob.dim_x
-    ydel_base = _convolve_nodes(wy, base.y)
-    zdel_base = _convolve_nodes(wz, base.z)
-    xdel_dir = _convolve_nodes(wx, np.einsum("pijk,k->pij", fwd.grad_x, h))
+    ydel_base = convolve_paths(wy, base.y)
+    zdel_base = convolve_paths(wz, base.z)
+    xdel_dir = convolve_paths(wx, np.einsum("pijk,k->pij", fwd.grad_x, h))
     const = np.zeros((fwd.n_paths, n + 1, m))
     gy = np.zeros((fwd.n_paths, n + 1, m, m))
     gz = np.zeros((fwd.n_paths, n + 1, m, m, d))
     for j in range(n):
-        args = (grid[j], xdel_all[:, j], ydel_base[:, j], zdel_base[:, j])
+        args = (grid[j], xdel_all[j], ydel_base[:, j], zdel_base[:, j])
         const[:, j] = np.einsum("pmd,pd->pm", prob.driver.grad_x(*args), xdel_dir[:, j])
         gy[:, j] = prob.driver.grad_y(*args)
         gz[:, j] = prob.driver.grad_z(*args)
@@ -675,7 +693,7 @@ def per_node_variational(prob, fwd, base, h, basis, sweeps, tol):
     terminal_vals = np.einsum("pmd,pdk,k->pm", prob.terminal.grad(fwd.x[:, -1]),
                               fwd.grad_x[:, -1], h)
     return solver_module._run_sweeps(fwd, terminal_vals, wy, wz, driver_all, xdel_all,
-                                     features, basis, sweeps, tol)
+                                     plan, basis, sweeps, tol)
 
 
 def per_node_representation(fwd, variationals, coeffs):
@@ -735,3 +753,52 @@ class TestOneCallPerSolve:
             variationals.append(var)
         z_rep = representation_z(fwd, variationals, prob.forward)
         assert np.array_equal(z_rep, per_node_representation(fwd, variationals, prob.forward))
+
+
+class TestNodeBlocks:
+    """Sweeps fit their nodes in stacked blocks sized by DESIGN_BUDGET.
+
+    One-node blocks and whole-sweep blocks must give the same numbers, which
+    guards the hand-off of Y from one block to the block below it.
+    """
+
+    def all_delays_case(self):
+        prob = problem(
+            make_driver("affine", {"const": 0.2, "coeff_x": 0.3, "coeff_y": -0.2,
+                                   "coeff_z": 0.1}),
+            make_terminal("quadratic"), alpha_x=lag_atom(-0.1),
+            alpha_y=DelayMeasure(T, density_pieces=((-0.3, -0.1, 1.5),)), alpha_z=lag_atom(),
+        )
+        return prob, BasisSpec()
+
+    brownian_2d_case = TestOneCallPerSolve.brownian_2d_case
+
+    def solve_at_budget(self, monkeypatch, budget, case):
+        monkeypatch.setattr(solver_module, "DESIGN_BUDGET", budget)
+        prob, basis = case
+        grid = np.linspace(0.0, T, 13)
+        fwd = simulate_forward(prob.forward, prob.x0, grid, 400, 3)
+        sol = picard_solve(prob, fwd, basis, 3, 1e-12)
+        var = variational_solve(prob, fwd, sol, [1.0], basis, 3, 1e-12)
+        return sol, var
+
+    @pytest.mark.parametrize("case", ["all_delays_case", "brownian_2d_case"])
+    def test_block_size_does_not_change_the_solution(self, monkeypatch, case):
+        one, middle, whole = (self.solve_at_budget(monkeypatch, budget, getattr(self, case)())
+                              for budget in (1, 5 * 400 * 15 * 8, 2**40))
+        for sol, var in (middle, whole):
+            assert np.array_equal(sol.y, one[0].y) and np.array_equal(sol.z, one[0].z)
+            assert np.array_equal(var.p, one[1].p) and np.array_equal(var.q, one[1].q)
+            assert sol.diffs_y == one[0].diffs_y and var.diffs_q == one[1].diffs_q
+        assert one[0].y.flags.c_contiguous and one[1].q.flags.c_contiguous
+
+    @pytest.mark.parametrize("features, node", [(("x",), 0), (("x", "zdel"), 7)])
+    def test_failure_inside_a_block_names_its_node(self, monkeypatch, features, node):
+        # x0 = 0 makes node 0 rank-deficient, and zdel is zero at every node
+        # in sweep 1; the sweep fits all eight nodes in one block
+        monkeypatch.setattr(solver_module, "DESIGN_BUDGET", 2**40)
+        prob = problem(make_driver("zero"), make_terminal("identity"), alpha_z=lag_atom())
+        with pytest.raises(ValueError, match=f"^regression failed at node {node}, sweep 1: "
+                                             "rank-deficient design with zero ridge"):
+            solve(prob, n_steps=8, n_paths=400,
+                  basis=BasisSpec(features=features, ridge=0.0), sweeps=2)
