@@ -113,18 +113,23 @@ def _load(args):
     return load_config(args.config)
 
 
-def _setup(cfg, args, default_basis=None):
+def _setup(cfg, args, default_basis=None, state_fit=False):
     """Problem, solver settings and seed of a Monte Carlo command.
 
     default_basis replaces the solver's default basis when the config selects
-    none.  A basis of k > 1 functions needs at least 10 k paths (the
-    regressions' rule), checked here, before any path is simulated.
+    none; state_fit adds the fit on the state alone at the solver's degree
+    (study-l2reg's coarse projections).  A basis of k > 1 functions needs at
+    least 10 k paths (the regressions' rule), checked here for every basis,
+    before any path is simulated.
     """
     seed = args.seed if args.seed is not None else int(cfg.get("seed", 0))
     problem, settings = build_problem(cfg), solver_settings(cfg, vars(args))
     if default_basis is not None and "basis" not in cfg.get("solver", {}):
         settings["basis"] = default_basis
-    _, k = regression_basis(problem, settings["basis"])
+    bases = [settings["basis"]]
+    if state_fit:
+        bases.append(replace(settings["basis"], features=("x",)))
+    k = max(regression_basis(problem, basis)[1] for basis in bases)
     if k > max(1, settings["paths"] // 10):
         raise ConfigError(f"basis size {k} needs at least {10 * k} paths, "
                           f"got {settings['paths']}")
@@ -136,8 +141,8 @@ def _simulate(problem, settings, seed, steps):
     return simulate_forward(problem.forward, problem.x0, grid, settings["paths"], seed)
 
 
-def _solve_from_config(cfg, args, steps=None):
-    problem, settings, seed = _setup(cfg, args)
+def _solve_from_config(cfg, args, steps=None, state_fit=False):
+    problem, settings, seed = _setup(cfg, args, state_fit=state_fit)
     forward = _simulate(problem, settings, seed, steps or settings["steps"])
     solution = picard_solve(problem, forward, settings["basis"],
                             settings["picard"], settings["tol"])
@@ -332,7 +337,8 @@ def _meshes(cfg, args):
 def cmd_study_l2reg(args, cfg):
     meshes, ref_steps = _meshes(cfg, args)
     tol_slope = float(cfg.get("study", {}).get("slope_tol", 0.3))
-    problem, settings, forward, solution = _solve_from_config(cfg, args, ref_steps)
+    problem, settings, forward, solution = _solve_from_config(cfg, args, ref_steps,
+                                                              state_fit=True)
     z_ref = representation_z(forward, _variationals(problem, settings, forward, solution),
                              problem.forward)
     report = l2_regularity(forward, z_ref, meshes, settings["basis"], tol_slope)

@@ -1,10 +1,11 @@
-"""Forward diffusion engine: Euler paths, first-variation flow, flow inverse.
+"""Forward diffusion engine: Euler paths and first-variation flow.
 
 Simulates dX = b(t, X) dt + sigma(t, X) dW together with the matrix flow
-dG = grad_b G dt + grad_sigma G dW started at the identity, and inverts the
-flow node by node (dimensions stay small, so direct inversion beats
-simulating the inverse flow).  The Brownian-perturbation derivative of X is
-assembled from the flow as G_t G_u^{-1} sigma(u, X_u).
+dG = grad_b G dt + grad_sigma G dW started at the identity.  The flow is
+inverted only where a formula reads the inverse (dimensions stay small, so
+direct inversion beats simulating the inverse flow).  The
+Brownian-perturbation derivative of X is assembled from the flow as
+G_t G_u^{-1} sigma(u, X_u).
 
 Coefficients come from a preset registry, keeping configs data-only.
 Randomness is counter-based: path i draws from a Philox stream keyed by
@@ -131,18 +132,24 @@ def make_forward(preset, params=None, dim=1):
 class ForwardBundle:
     """Per-path arrays of the simulated diffusion and its flow.
 
-    dw: (M, N, d) Brownian increments; x: (M, N+1, d);
-    grad_x, grad_x_inv: (M, N+1, d, d).  grad_x at node 0 is the identity and
-    x at node 0 equals the initial state on every path.
+    dw: (M, N, d) Brownian increments; x: (M, N+1, d); grad_x: (M, N+1, d, d).
+    grad_x at node 0 is the identity and x at node 0 equals the initial state
+    on every path.
     """
 
     grid: np.ndarray
     dw: np.ndarray
     x: np.ndarray
     grad_x: np.ndarray
-    grad_x_inv: np.ndarray
-    seed: int
-    n_paths: int
+
+    @property
+    def n_paths(self):
+        return len(self.dw)
+
+    @property
+    def grad_x_inv(self):
+        """Inverse flow (M, N+1, d, d), computed on each read."""
+        return np.linalg.inv(self.grad_x)
 
 
 def brownian_increments(grid, n_paths, dim, seed):
@@ -187,28 +194,18 @@ def euler_paths(coeffs, x0, grid, dw):
     return x, grad
 
 
-def _invert_flow(grad):
-    dets = np.linalg.det(grad)
-    bad = np.argwhere(np.abs(dets) < 1e-14)
+def bundle_from_increments(coeffs, x0, grid, dw):
+    """Forward bundle driven by given increments dw of shape (M, N, d).
+
+    Raises ValueError when the flow is singular at some path and node.
+    """
+    grid = np.asarray(grid, dtype=float)
+    x, grad = euler_paths(coeffs, x0, grid, dw)
+    bad = np.argwhere(np.abs(np.linalg.det(grad)) < 1e-14)
     if len(bad):
         path, node = bad[0]
         raise ValueError(f"singular variational flow at path {path}, node {node}")
-    return np.linalg.inv(grad)
-
-
-def bundle_from_increments(coeffs, x0, grid, dw, seed):
-    """Forward bundle driven by given increments dw of shape (M, N, d)."""
-    grid = np.asarray(grid, dtype=float)
-    x, grad = euler_paths(coeffs, x0, grid, dw)
-    return ForwardBundle(
-        grid=grid,
-        dw=dw,
-        x=x,
-        grad_x=grad,
-        grad_x_inv=_invert_flow(grad),
-        seed=int(seed),
-        n_paths=len(dw),
-    )
+    return ForwardBundle(grid=grid, dw=dw, x=x, grad_x=grad)
 
 
 def simulate_forward(coeffs, x0, grid, n_paths, seed):
@@ -216,13 +213,13 @@ def simulate_forward(coeffs, x0, grid, n_paths, seed):
     if n_paths < 1:
         raise ValueError("need at least one path")
     dw = brownian_increments(grid, n_paths, coeffs.dim, seed)
-    return bundle_from_increments(coeffs, x0, grid, dw, seed)
+    return bundle_from_increments(coeffs, x0, grid, dw)
 
 
 def malliavin_forward(bundle, coeffs, u_index, t_index):
     """Brownian-perturbation derivative of X at node t w.r.t. noise at node u.
 
-    Per path: grad_x[t] @ grad_x_inv[u] @ sigma(t_u, X_u); the zero matrix for
+    Per path: grad_x[t] @ grad_x[u]^{-1} @ sigma(t_u, X_u); the zero matrix for
     u > t since the perturbation acts only forward in time.
     """
     d = coeffs.dim
@@ -232,6 +229,6 @@ def malliavin_forward(bundle, coeffs, u_index, t_index):
     return np.einsum(
         "pjl,plk,pkm->pjm",
         bundle.grad_x[:, t_index],
-        bundle.grad_x_inv[:, u_index],
+        np.linalg.inv(bundle.grad_x[:, u_index]),
         sig,
     )

@@ -49,7 +49,6 @@ STATE_BASIS = BasisSpec(features=("x",))
 class RateReport:
     """Log-log rate fit of an error functional against mesh/separation sizes."""
 
-    label: str
     sizes: tuple
     values: tuple
     slope: float
@@ -104,7 +103,7 @@ def separation_steps(separations, dt, n):
     return steps
 
 
-def y_increment_rate(solution, p, separations, target_tol=0.3, label="y-increments"):
+def y_increment_rate(solution, p, separations, target_tol=0.3):
     """Moment of Y increments per separation, fitted against the separation.
 
     Separations must be multiples of the grid step no longer than the
@@ -120,7 +119,6 @@ def y_increment_rate(solution, p, separations, target_tol=0.3, label="y-incremen
         moments.append(float(np.mean(mags**p)))
     slope, intercept, resid = fit_loglog_slope(separations, moments)
     return RateReport(
-        label=label,
         sizes=tuple(float(s) for s in separations),
         values=tuple(moments),
         slope=slope,
@@ -179,8 +177,7 @@ def coarse_control_error(forward, z_ref, coarse_steps, basis=None):
     return _coarse_projection(forward, z_ref, coarse_steps, basis)[0]
 
 
-def l2_regularity(forward, z_ref, coarse_meshes, basis=None,
-                  target_tol=0.3, label="control-regularity"):
+def l2_regularity(forward, z_ref, coarse_meshes, basis=None, target_tol=0.3):
     """Mean-square functional of the control against its coarse projections.
 
     For each coarse mesh, the node value is the regression estimate of the
@@ -196,7 +193,6 @@ def l2_regularity(forward, z_ref, coarse_meshes, basis=None,
     sizes = [horizon / nc for nc in coarse_meshes]
     slope, intercept, resid = fit_loglog_slope(sizes, values)
     return RateReport(
-        label=label,
         sizes=tuple(sizes),
         values=tuple(values),
         slope=slope,

@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import lru_cache
 
 import numpy as np
 
@@ -145,18 +144,6 @@ def _path_major(values):
     return np.moveaxis(values, 0, 1)
 
 
-@lru_cache(maxsize=16)
-def _cached_weights(measure, grid_bytes):
-    """Cell weights of a (frozen measure, grid bytes) pair, built once.
-
-    The weights are a pure function of the key and are returned read-only,
-    so every solve on the same grid can share them.
-    """
-    weights = cell_weights(measure, np.frombuffer(grid_bytes))
-    weights.flags.writeable = False
-    return weights
-
-
 def regression_basis(problem, basis):
     """Feature names of a solve's regressions and the basis size k they give.
 
@@ -175,9 +162,8 @@ def regression_basis(problem, basis):
 
 def _solve_setup(problem, forward, basis):
     """Cell weights, node-major delayed forward state and regression basis of one solve."""
-    grid_bytes = np.asarray(forward.grid, dtype=float).tobytes()
     measures = (problem.alpha_x, problem.alpha_y, problem.alpha_z)
-    wx, wy, wz = (_cached_weights(m, grid_bytes) for m in measures)
+    wx, wy, wz = (cell_weights(m, forward.grid) for m in measures)
     xdel_all = _convolve_nodes(wx, _path_major(forward.x))
     return wx, wy, wz, xdel_all, regression_basis(problem, basis)
 
@@ -218,8 +204,8 @@ def _run_sweeps(forward, terminal_vals, wy, wz, driver_all, xdel_all, basis_plan
     """Shared Picard engine for the base and the variational solves.
 
     wy, wz: cell weights of the delayed value and control convolutions;
-    driver_all(ydel_all, zdel_all) -> per-node driver values (M, N+1, m) from
-    path-major convolutions, of which node N is never read;
+    driver_all(ydel_all, zdel_all) -> node-major driver values (N+1, M, m)
+    from node-major convolutions, of which node N is never read;
     xdel_all: node-major delayed state; basis_plan: regression feature names
     and basis size k, the features read at each node from the state, xdel_all
     and the current sweep's convolutions.  The iterate is node-major, and each
@@ -241,7 +227,7 @@ def _run_sweeps(forward, terminal_vals, wy, wz, driver_all, xdel_all, basis_plan
     sweeps = 0
     for _ in range(max_sweeps):
         ydel_all, zdel_all = _convolve_nodes(wy, y), _convolve_nodes(wz, z)
-        f_all = _path_major(driver_all(_path_major(ydel_all), _path_major(zdel_all)))
+        f_all = driver_all(ydel_all, zdel_all)
         named = {"x": x_nodes, "xdel": xdel_all, "ydel": ydel_all, "zdel": zdel_all}
         columns = [named[name] for name in features]
         suffix = _suffix_sums(terminal_vals, f_all, dt)
@@ -301,10 +287,9 @@ def picard_solve(problem, forward, basis=None, max_sweeps=8, tol=1e-3):
     grid = forward.grid
     _, wy, wz, xdel_all, plan = _solve_setup(problem, forward, basis)
     terminal_vals = problem.terminal.value(forward.x[:, -1])
-    xdel_paths = _path_major(xdel_all)
 
     def driver_all(ydel_all, zdel_all):
-        return problem.driver.value(grid, xdel_paths, ydel_all, zdel_all)
+        return problem.driver.value(grid[:, None], xdel_all, ydel_all, zdel_all)
 
     y, z, diffs_y, diffs_z, sweeps = _run_sweeps(
         forward, terminal_vals, wy, wz, driver_all, xdel_all, plan, basis, max_sweeps, tol,
@@ -333,14 +318,13 @@ def variational_solve(problem, forward, base, h, basis=None, max_sweeps=8, tol=1
     basis = basis or BasisSpec()
     h = np.asarray(h, dtype=float)
     wx, wy, wz, xdel_all, plan = _solve_setup(problem, forward, basis)
-    ydel_base, zdel_base = (_path_major(_convolve_nodes(w, _path_major(v)))
+    ydel_base, zdel_base = (_convolve_nodes(w, _path_major(v))
                             for w, v in ((wy, base.y), (wz, base.z)))
-    grad_x_h = np.einsum("pijk,k->pij", forward.grad_x, h)
-    xdel_dir = _path_major(_convolve_nodes(wx, _path_major(grad_x_h)))
+    xdel_dir = _convolve_nodes(wx, np.einsum("pijk,k->ipj", forward.grad_x, h))
 
     driver = problem.driver
-    args = (forward.grid, _path_major(xdel_all), ydel_base, zdel_base)
-    const_all = np.einsum("pjmd,pjd->pjm", driver.grad_x(*args), xdel_dir)
+    args = (forward.grid[:, None], xdel_all, ydel_base, zdel_base)
+    const_all = np.einsum("jpmd,jpd->jpm", driver.grad_x(*args), xdel_dir)
     grad_y_all = driver.grad_y(*args)
     grad_z_all = driver.grad_z(*args)
 
@@ -350,8 +334,8 @@ def variational_solve(problem, forward, base, h, basis=None, max_sweeps=8, tol=1
 
     def driver_all(pdel_all, qdel_all):
         out = const_all.copy()
-        out += np.einsum("pjmk,pjk->pjm", grad_y_all, pdel_all)
-        out += np.einsum("pjmkd,pjkd->pjm", grad_z_all, qdel_all)
+        out += np.einsum("jpmk,jpk->jpm", grad_y_all, pdel_all)
+        out += np.einsum("jpmkd,jpkd->jpm", grad_z_all, qdel_all)
         return out
 
     p, q, diffs_p, diffs_q, sweeps = _run_sweeps(
@@ -411,8 +395,13 @@ def _fd_error(diff, blocks=10):
     return err, se
 
 
+# Step of the fd-check's noise-floor quotient: small enough that the
+# difference-quotient bias is negligible next to the regression noise.
+FLOOR_EPSILON = 1e-3
+
+
 def fd_directional_check(problem, h, epsilons, n_paths, n_steps, seed,
-                         basis=None, max_sweeps=8, tol=1e-3, floor_epsilon=1e-3):
+                         basis=None, max_sweeps=8, tol=1e-3):
     """Compare difference quotients of Y in the initial state with grad_Y h.
 
     All solves share one draw of the Brownian increments (the shifted states
@@ -428,7 +417,7 @@ def fd_directional_check(problem, h, epsilons, n_paths, n_steps, seed,
 
     def quotient(eps):
         shifted = problem.with_x0(problem.x0 + eps * h)
-        fwd = bundle_from_increments(shifted.forward, shifted.x0, grid, forward.dw, seed)
+        fwd = bundle_from_increments(shifted.forward, shifted.x0, grid, forward.dw)
         sol = picard_solve(shifted, fwd, basis, max_sweeps, tol)
         return (sol.y - base.y) / eps
 
@@ -439,7 +428,7 @@ def fd_directional_check(problem, h, epsilons, n_paths, n_steps, seed,
         err, se = _fd_error(fd - var.p)
         errors.append(err)
         ses.append(se)
-    floor_err, floor_se = _fd_error(quotient(floor_epsilon) - var.p)
+    floor_err, floor_se = _fd_error(quotient(FLOOR_EPSILON) - var.p)
 
     richardson = float("nan")
     eps_sorted = sorted(epsilons)

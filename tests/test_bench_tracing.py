@@ -11,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from delaybsde import forward as forward_module
 from delaybsde import solver
 from delaybsde.forward import make_forward, simulate_forward
 from delaybsde.generators import make_driver, make_terminal
@@ -64,3 +65,18 @@ def test_traced_solve_reports_regression_metrics():
     assert metrics["regression.fits"] > 0
     assert isinstance(metrics["regression.max_condition"], float)
     assert metrics["regression.max_condition"] > 1.0
+
+
+def test_traced_simulation_reports_bundle_bytes():
+    # the bundle probe reads the derived inverse flow, so it must still resolve
+    coeffs = make_forward("gbm", {"mu": 0.1, "nu": 0.3})
+    tracer = _load_tracing().Tracer(rep=0)
+    try:
+        assert tracer.install() == []
+        bundle = forward_module.simulate_forward(coeffs, [1.0], np.linspace(0.0, 0.5, 9), 50, 2)
+    finally:
+        tracer.restore()
+    arrays = (bundle.dw, bundle.x, bundle.grad_x, np.linalg.inv(bundle.grad_x))
+    metrics = tracer.layer_metrics()
+    assert metrics["forward.calls"] == 1
+    assert metrics["forward.bundle_mb"] == sum(a.nbytes for a in arrays) / 1e6

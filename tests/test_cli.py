@@ -390,6 +390,28 @@ class TestPathCountValidation:
         assert f"config error: basis size {k} needs at least {10 * k} paths, got {paths}" in err
         assert not out.exists()
 
+    def test_coarse_state_basis_checked_before_simulating(self, tmp_path, capsys,
+                                                          monkeypatch):
+        # the Picard basis (ydel alone, k = 3) fits 40 paths, but study-l2reg's
+        # coarse projections fit on the 2-d state: k = 6 at degree 2
+        def no_simulation(*args, **kwargs):
+            raise AssertionError("simulated paths before checking the path count")
+
+        monkeypatch.setattr(cli, "simulate_forward", no_simulation)
+        cfg = base_config(
+            dim_x=2, forward={"preset": "brownian", "x0": [0.0, 0.0]},
+            generator={"preset": "linear_ydel", "coeff": 0.1, "lipschitz": 0.1},
+            terminal={"preset": "quadratic"}, delays={"alpha_y": [{"atom": [-0.25, 1.0]}]},
+        )
+        cfg["solver"]["basis"] = {"features": ["ydel"]}
+        out = tmp_path / "out"
+        argv = ["study-l2reg", "--config", write_config(tmp_path, cfg), "--out", str(out),
+                "--paths", "40"]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "config error: basis size 6 needs at least 60 paths, got 40" in err
+        assert not out.exists()
+
     def test_ten_paths_per_basis_function_accepted(self, tmp_path):
         argv = ["solve", "--config", str(CONFIGS / "delayed_control.json"),
                 "--out", str(tmp_path / "out"), "--paths", "100", "--picard", "2"]

@@ -1,7 +1,11 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
 from delaybsde.forward import (
+    ForwardBundle,
+    SdeCoefficients,
     brownian_increments,
     bundle_from_increments,
     euler_paths,
@@ -135,10 +139,10 @@ class TestSimulation:
         coeffs = make_forward("gbm", {"mu": 0.1, "nu": 0.2})
         grid = np.linspace(0.0, 0.5, 11)
         sim = simulate_forward(coeffs, [1.0], grid, 32, seed=6)
-        built = bundle_from_increments(coeffs, [1.0], grid, sim.dw, 6)
+        built = bundle_from_increments(coeffs, [1.0], grid, sim.dw)
         for key in ("grid", "dw", "x", "grad_x", "grad_x_inv"):
             assert np.array_equal(getattr(built, key), getattr(sim, key))
-        assert (built.seed, built.n_paths) == (sim.seed, sim.n_paths)
+        assert built.n_paths == sim.n_paths
 
     def test_strong_order_half_for_gbm(self):
         coeffs = make_forward("gbm", {"mu": 0.2, "nu": 0.5})
@@ -186,7 +190,57 @@ class TestSimulation:
         assert np.allclose(prod, np.eye(1), atol=1e-6)
 
 
+def coupled_2d(nu=0.3):
+    """2-d diffusion with drift A x and noise nu diag(x): a full, path-dependent flow."""
+    a = np.array([[0.1, 0.4], [-0.3, 0.2]])
+    eye = np.eye(2)
+
+    def grad_diffusion(t, x):
+        g = np.zeros((*x.shape[:-1], 2, 2, 2))
+        for j in range(2):
+            g[..., j, j, j] = nu
+        return g
+
+    return SdeCoefficients(
+        "coupled_2d", 2,
+        drift=lambda t, x: x @ a.T,
+        diffusion=lambda t, x: nu * x[..., :, None] * eye,
+        grad_drift=lambda t, x: np.broadcast_to(a, (*x.shape[:-1], 2, 2)).copy(),
+        grad_diffusion=grad_diffusion,
+    )
+
+
+class TestBundleState:
+    """A bundle stores what was simulated; the inverse flow is derived on read."""
+
+    def test_fields_are_the_simulated_arrays(self):
+        assert [f.name for f in fields(ForwardBundle)] == ["grid", "dw", "x", "grad_x"]
+
+    @pytest.mark.parametrize("coeffs, x0", [
+        (make_forward("gbm", {"mu": 0.1, "nu": 0.4}), [1.0]),
+        (coupled_2d(), [1.0, -0.5]),
+    ])
+    def test_inverse_equals_inverting_the_flow(self, coeffs, x0):
+        bundle = simulate_forward(coeffs, x0, np.linspace(0.0, 1.0, 11), 40, seed=3)
+        assert not np.allclose(bundle.grad_x[:, -1], np.eye(coeffs.dim))
+        assert np.array_equal(bundle.grad_x_inv, np.linalg.inv(bundle.grad_x))
+
+
 class TestMalliavinForward:
+    @pytest.mark.parametrize("coeffs, x0", [
+        (make_forward("gbm", {"mu": 0.1, "nu": 0.4}), [1.0]),
+        (coupled_2d(), [1.0, -0.5]),
+    ])
+    def test_equals_whole_bundle_inverse_formula(self, coeffs, x0):
+        # the formula with the inverse of every flow matrix, then sliced at u
+        grid = np.linspace(0.0, 1.0, 11)
+        bundle = simulate_forward(coeffs, x0, grid, 40, seed=3)
+        inverse = np.linalg.inv(bundle.grad_x)
+        for u, t in [(0, 5), (3, 3), (2, 9), (4, 10)]:
+            expected = np.einsum("pjl,plk,pkm->pjm", bundle.grad_x[:, t], inverse[:, u],
+                                 coeffs.diffusion(grid[u], bundle.x[:, u]))
+            assert np.array_equal(malliavin_forward(bundle, coeffs, u, t), expected)
+
     def test_identity_for_additive_noise(self):
         coeffs = make_forward("brownian")
         grid = np.linspace(0.0, 1.0, 11)

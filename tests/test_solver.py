@@ -139,25 +139,6 @@ class TestNodeConvolution:
                 row = np.tensordot(weights, v[:, : len(weights)], axes=(0, 1))
                 assert np.allclose(row, conv[:, i], rtol=0.0, atol=1e-13)
 
-    def test_weights_built_once_per_measure_and_grid(self, monkeypatch):
-        calls = []
-
-        def counting(measure, grid):
-            calls.append(measure)
-            return cell_weights(measure, grid)
-
-        monkeypatch.setattr(solver_module, "cell_weights", counting)
-        solver_module._cached_weights.cache_clear()
-        prob = problem(make_driver("linear_zdel", {"coeff": 0.1, "lipschitz": 0.1}),
-                       make_terminal("identity"), alpha_z=lag_atom())
-        fwd, sol = solve(prob, n_steps=8, n_paths=300, sweeps=2)
-        variational_solve(prob, fwd, sol, np.ones(1), BasisSpec(), 2, 1e-4)
-        # the zero alpha_x and alpha_y are equal measures: one build covers both
-        assert sorted(m.total_mass() for m in calls) == [0.0, 1.0]
-        weights = solver_module._cached_weights(prob.alpha_z, fwd.grid.tobytes())
-        assert not weights.flags.writeable
-        solver_module._cached_weights.cache_clear()
-
 
 class TestPicardSolve:
     def test_martingale_baseline(self):
@@ -631,11 +612,24 @@ class TestFdCheckSharedNoise:
     def test_report_equals_independent_simulation_per_shift(self, monkeypatch):
         shared = fd_directional_check(self.quadratic(), *self.ARGS, seed=4)
 
-        def simulate_again(coeffs, x0, grid, dw, seed):
-            return simulate_forward(coeffs, x0, grid, len(dw), seed)
+        def simulate_again(coeffs, x0, grid, dw):
+            return simulate_forward(coeffs, x0, grid, len(dw), 4)
 
         monkeypatch.setattr(solver_module, "bundle_from_increments", simulate_again)
         assert fd_directional_check(self.quadratic(), *self.ARGS, seed=4) == shared
+
+    def test_no_flow_is_inverted(self, monkeypatch):
+        # fd-check reads Y only; the inverse flow feeds the control formula alone
+        calls = []
+        invert = np.linalg.inv
+
+        def counted(a):
+            calls.append(np.shape(a))
+            return invert(a)
+
+        monkeypatch.setattr(np.linalg, "inv", counted)
+        fd_directional_check(self.quadratic(), *self.ARGS, seed=4)
+        assert calls == []
 
     def test_singular_shifted_flow_raises(self):
         # Noise-free drift c x^2 / 2: the flow's first step is 1 + c x0 dt, which is
@@ -659,10 +653,9 @@ def per_node_picard(prob, fwd, basis, sweeps, tol):
     grid, n = fwd.grid, len(fwd.grid) - 1
 
     def driver_all(ydel_all, zdel_all):
-        out = np.zeros((fwd.n_paths, n + 1, prob.dim_y))
+        out = np.zeros((n + 1, fwd.n_paths, prob.dim_y))
         for j in range(n):
-            out[:, j] = prob.driver.value(grid[j], xdel_all[j], ydel_all[:, j],
-                                          zdel_all[:, j])
+            out[j] = prob.driver.value(grid[j], xdel_all[j], ydel_all[j], zdel_all[j])
         return out
 
     terminal_vals = prob.terminal.value(fwd.x[:, -1])
@@ -674,21 +667,22 @@ def per_node_variational(prob, fwd, base, h, basis, sweeps, tol):
     """variational_solve's sweeps with the driver gradients taken once per node below N."""
     wx, wy, wz, xdel_all, plan = solver_module._solve_setup(prob, fwd, basis)
     grid, n, m, d = fwd.grid, len(fwd.grid) - 1, prob.dim_y, prob.dim_x
-    ydel_base = convolve_paths(wy, base.y)
-    zdel_base = convolve_paths(wz, base.z)
-    xdel_dir = convolve_paths(wx, np.einsum("pijk,k->pij", fwd.grad_x, h))
-    const = np.zeros((fwd.n_paths, n + 1, m))
-    gy = np.zeros((fwd.n_paths, n + 1, m, m))
-    gz = np.zeros((fwd.n_paths, n + 1, m, m, d))
+    ydel_base, zdel_base, xdel_dir = (
+        _convolve_nodes(w, np.moveaxis(v, 1, 0))
+        for w, v in ((wy, base.y), (wz, base.z),
+                     (wx, np.einsum("pijk,k->pij", fwd.grad_x, h))))
+    const = np.zeros((n + 1, fwd.n_paths, m))
+    gy = np.zeros((n + 1, fwd.n_paths, m, m))
+    gz = np.zeros((n + 1, fwd.n_paths, m, m, d))
     for j in range(n):
-        args = (grid[j], xdel_all[j], ydel_base[:, j], zdel_base[:, j])
-        const[:, j] = np.einsum("pmd,pd->pm", prob.driver.grad_x(*args), xdel_dir[:, j])
-        gy[:, j] = prob.driver.grad_y(*args)
-        gz[:, j] = prob.driver.grad_z(*args)
+        args = (grid[j], xdel_all[j], ydel_base[j], zdel_base[j])
+        const[j] = np.einsum("pmd,pd->pm", prob.driver.grad_x(*args), xdel_dir[j])
+        gy[j] = prob.driver.grad_y(*args)
+        gz[j] = prob.driver.grad_z(*args)
 
     def driver_all(pdel_all, qdel_all):
-        return (const + np.einsum("pjmk,pjk->pjm", gy, pdel_all)
-                + np.einsum("pjmkd,pjkd->pjm", gz, qdel_all))
+        return (const + np.einsum("jpmk,jpk->jpm", gy, pdel_all)
+                + np.einsum("jpmkd,jpkd->jpm", gz, qdel_all))
 
     terminal_vals = np.einsum("pmd,pdk,k->pm", prob.terminal.grad(fwd.x[:, -1]),
                               fwd.grad_x[:, -1], h)
