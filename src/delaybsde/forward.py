@@ -3,7 +3,10 @@
 Simulates dX = b(t, X) dt + sigma(t, X) dW together with the matrix flow
 dG = grad_b G dt + grad_sigma G dW started at the identity.  The flow is
 inverted only where a formula reads the inverse (dimensions stay small, so
-direct inversion beats simulating the inverse flow).  The
+direct inversion beats simulating the inverse flow).  At d = 1 the
+singularity check reads the flow entry itself and the inverse is its
+reciprocal, bit-equal to LAPACK's and without its per-matrix overhead; for
+d >= 2 both go through `np.linalg.det` / `np.linalg.inv`.  The
 Brownian-perturbation derivative of X is assembled from the flow as
 G_t G_u^{-1} sigma(u, X_u).
 
@@ -149,7 +152,24 @@ class ForwardBundle:
     @property
     def grad_x_inv(self):
         """Inverse flow (M, N+1, d, d), computed on each read."""
-        return np.linalg.inv(self.grad_x)
+        return _flow_inverse(self.grad_x)
+
+
+def _flow_singular(g):
+    """Mask of the flow matrices g (..., d, d) with |det| < 1e-14.
+
+    At d = 1 the determinant is the entry itself.  LAPACK's det (sign times
+    exp of the log-magnitude) is off the entry by up to about |log g| machine
+    epsilons, so the two rules disagree only on entries a few dozen ULP or
+    less above 1e-14 (1e-14 itself is singular to LAPACK, not here).
+    """
+    det = g[..., 0, 0] if g.shape[-1] == 1 else np.linalg.det(g)
+    return np.abs(det) < 1e-14
+
+
+def _flow_inverse(g):
+    """Inverse of each flow matrix g (..., d, d); the reciprocal at d = 1."""
+    return 1.0 / g if g.shape[-1] == 1 else np.linalg.inv(g)
 
 
 def brownian_increments(grid, n_paths, dim, seed):
@@ -175,6 +195,8 @@ def euler_paths(coeffs, x0, grid, dw):
     n_paths, n, dim = dw.shape
     if dim != coeffs.dim or x0.shape != (dim,):
         raise ValueError("dimension mismatch between coefficients, x0 and increments")
+    if n != len(grid) - 1:
+        raise ValueError(f"increments have {n} steps but the grid has {len(grid) - 1}")
     x = np.empty((n_paths, n + 1, dim))
     grad = np.empty((n_paths, n + 1, dim, dim))
     x[:, 0] = x0
@@ -201,7 +223,7 @@ def bundle_from_increments(coeffs, x0, grid, dw):
     """
     grid = np.asarray(grid, dtype=float)
     x, grad = euler_paths(coeffs, x0, grid, dw)
-    bad = np.argwhere(np.abs(np.linalg.det(grad)) < 1e-14)
+    bad = np.argwhere(_flow_singular(grad))
     if len(bad):
         path, node = bad[0]
         raise ValueError(f"singular variational flow at path {path}, node {node}")
@@ -229,6 +251,6 @@ def malliavin_forward(bundle, coeffs, u_index, t_index):
     return np.einsum(
         "pjl,plk,pkm->pjm",
         bundle.grad_x[:, t_index],
-        np.linalg.inv(bundle.grad_x[:, u_index]),
+        _flow_inverse(bundle.grad_x[:, u_index]),
         sig,
     )

@@ -3,6 +3,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
+from delaybsde import forward as forward_module
 from delaybsde.forward import (
     ForwardBundle,
     SdeCoefficients,
@@ -144,6 +145,13 @@ class TestSimulation:
             assert np.array_equal(getattr(built, key), getattr(sim, key))
         assert built.n_paths == sim.n_paths
 
+    @pytest.mark.parametrize("steps", [5, 12])
+    def test_increments_must_match_the_grid(self, steps):
+        coeffs = make_forward("gbm", {"mu": 0.1, "nu": 0.2})
+        dw = brownian_increments(np.linspace(0.0, 1.0, steps + 1), 5, 1, seed=0)
+        with pytest.raises(ValueError, match=rf"increments have {steps} steps but the grid has 10"):
+            bundle_from_increments(coeffs, [1.0], np.linspace(0.0, 1.0, 11), dw)
+
     def test_strong_order_half_for_gbm(self):
         coeffs = make_forward("gbm", {"mu": 0.2, "nu": 0.5})
         n_fine = 256
@@ -224,6 +232,70 @@ class TestBundleState:
         bundle = simulate_forward(coeffs, x0, np.linspace(0.0, 1.0, 11), 40, seed=3)
         assert not np.allclose(bundle.grad_x[:, -1], np.eye(coeffs.dim))
         assert np.array_equal(bundle.grad_x_inv, np.linalg.inv(bundle.grad_x))
+
+
+class TestFlowHelpers:
+    """At d = 1 the check reads the flow entry and the inverse is its reciprocal."""
+
+    @staticmethod
+    def log_uniform(rng, shape, low=-20.0, high=20.0):
+        signs = rng.choice([-1.0, 1.0], shape)
+        return signs * 10.0 ** rng.uniform(low, high, shape)
+
+    def test_inverse_is_lapack_bit_for_bit(self):
+        g = self.log_uniform(np.random.default_rng(0), (2000, 41))[..., None, None]
+        assert np.array_equal(forward_module._flow_inverse(g), np.linalg.inv(g))
+
+    def test_singular_decision_matches_lapack_outside_the_band(self):
+        # LAPACK's det is sign * exp(log|a|), off the entry by up to about
+        # |log a| eps relative; near the 1e-14 threshold that is a few dozen ULP
+        rng = np.random.default_rng(1)
+        ladder = 1e-14 * (1.0 + np.arange(-200, 201) * np.finfo(float).eps / 4)
+        entries = np.concatenate([self.log_uniform(rng, 20_000), ladder, -ladder])
+        g = entries[:, None, None]
+        band = np.abs(np.abs(entries) - 1e-14) <= 1e-14 * 40 * np.finfo(float).eps
+        lapack = np.abs(np.linalg.det(g)) < 1e-14
+        ours = forward_module._flow_singular(g)
+        assert band.sum() > 0 and (~band).sum() > 20_000
+        assert np.array_equal(ours[~band], lapack[~band])
+
+    @pytest.mark.parametrize("coeffs, x0, lapack_calls", [
+        (make_forward("gbm", {"mu": 0.1, "nu": 0.4}), [1.0], 0),
+        (coupled_2d(), [1.0, -0.5], 3),
+    ], ids=["d1", "d2"])
+    def test_lapack_only_for_matrix_flows(self, monkeypatch, coeffs, x0, lapack_calls):
+        calls = []
+        for name in ("det", "inv"):
+            def spy(a, lapack=getattr(np.linalg, name), name=name):
+                calls.append(name)
+                return lapack(a)
+            monkeypatch.setattr(np.linalg, name, spy)
+        bundle = simulate_forward(coeffs, x0, np.linspace(0.0, 1.0, 11), 20, seed=3)
+        bundle.grad_x_inv
+        malliavin_forward(bundle, coeffs, 2, 5)
+        assert len(calls) == lapack_calls
+
+    def test_singular_matrix_flow_names_path_and_node(self, monkeypatch):
+        # noise-free drift A x with I + A dt = [[0.5, 0.5], [0.5, 0.5]] of rank 1
+        a = np.array([[-2.0, 2.0], [2.0, -2.0]])
+        coeffs = SdeCoefficients(
+            "rank_one_step", 2,
+            drift=lambda t, x: x @ a.T,
+            diffusion=lambda t, x: np.zeros((*x.shape[:-1], 2, 2)),
+            grad_drift=lambda t, x: np.broadcast_to(a, (*x.shape[:-1], 2, 2)).copy(),
+            grad_diffusion=lambda t, x: np.zeros((*x.shape[:-1], 2, 2, 2)),
+        )
+        calls = []
+        det = np.linalg.det
+
+        def spy(g):
+            calls.append(np.shape(g))
+            return det(g)
+
+        monkeypatch.setattr(np.linalg, "det", spy)
+        with pytest.raises(ValueError, match=r"singular variational flow at path 0, node 1"):
+            simulate_forward(coeffs, [1.0, 0.5], np.linspace(0.0, 1.0, 5), 3, seed=0)
+        assert calls == [(3, 5, 2, 2)]
 
 
 class TestMalliavinForward:
