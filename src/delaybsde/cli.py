@@ -187,13 +187,16 @@ def cmd_solve(args, cfg):
             enumerate(zip(solution.diffs_y, solution.diffs_z))]
     tables = {"solution.csv": (["t", "mean_y", "sd_y", "mean_z", "sd_z"], rows),
               "diagnostics.csv": (["sweep", "diff_y", "diff_z"], diag)}
-    status = f"converged in {solution.sweeps} sweeps"
-    if not solution.converged:
-        last = max(solution.diffs_y[-1:] + solution.diffs_z[-1:], default=float("nan"))
-        status = (f"stopped after {solution.sweeps} sweeps without converging "
-                  f"(last update {last:.3g} >= tol {solution.tol:.3g})")
+    status = (f"converged in {solution.sweeps} sweeps" if solution.converged
+              else _stopped(solution))
     return tables, {}, (f"{status}; mean Y0 = {float(np.mean(solution.y[:, 0])):.6g}; "
                         f"feasibility: {solution.feasibility or {}}")
+
+
+def _stopped(bundle):
+    """Status of a solve cut off at its sweep limit."""
+    return (f"stopped after {bundle.sweeps} sweeps without converging "
+            f"(last update {bundle.last_update:.3g} >= tol {bundle.tol:.3g})")
 
 
 def _variationals(problem, settings, forward, solution):
@@ -217,8 +220,11 @@ def cmd_variational(args, cfg):
                          float(np.mean(p_i)), float(np.std(p_i)),
                          float(np.mean(q_i)), float(np.std(q_i))])
     header = ["t", "direction", "mean_dy", "sd_dy", "mean_dz", "sd_dz"]
+    stopped = "".join(f"; direction {axis} {_stopped(var)}"
+                      for axis, var in enumerate(variationals) if not var.converged)
     return ({"variational.csv": (header, rows)}, {},
-            f"derivative sweeps per direction: {[var.sweeps for var in variationals]}")
+            f"derivative sweeps per direction: {[var.sweeps for var in variationals]}"
+            f"{stopped}")
 
 
 def cmd_compare_z(args, cfg):

@@ -4,8 +4,12 @@ Every conditional expectation in the discrete schemes is realized as a
 cross-sectional ridge regression across simulated paths: targets are
 projected onto total-degree polynomials of a handful of node features.  One
 fit per time node, never pooled across nodes; the fits of many nodes run as
-one stack of designs.  Fits are deterministic functions of their inputs
-(Cholesky solve of the ridge Gram matrix, no randomness).
+one stack of designs.  The caller picks the columns of each design: the
+solver's feature plan drops, by a rule on the delay weights, the features
+that are constant across paths at a node, so designs are full rank except
+where features are collinear by structure.  Fits are deterministic
+functions of their inputs (Cholesky solve of the ridge Gram matrix, no
+randomness).
 """
 
 from __future__ import annotations
@@ -27,9 +31,12 @@ FEATURES = ("x", "xdel", "ydel", "zdel")
 class BasisSpec:
     """Polynomial regression basis: total degree, feature selection, ridge.
 
-    ridge is a relative weight; the effective penalty is ridge times the
-    average squared column norm of the design, so near-collinear features
-    (a degenerate delayed convolution, say) shrink instead of aborting.
+    features is the most a fit may read: a solve fits each node on the
+    selected features that are live there, so the full basis is the widest
+    design, not every design.  ridge is a relative weight; the effective
+    penalty is ridge times the average squared column norm of the design
+    fitted, so features collinear by structure (a delayed value and control
+    read through one atom, say) shrink instead of aborting.
     """
 
     degree: int = 2

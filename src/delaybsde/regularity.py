@@ -149,9 +149,11 @@ def _cell_deviation(z_ref, centers, cell_dt):
 def _coarse_projection(forward, z_ref, coarse_steps, basis):
     """Conditional time-averages of the reference control on a coarse mesh.
 
-    The cell averages are regressed on the state at each cell's left node,
-    all cells in one stacked fit.  Returns (the mean-square deviation
-    functional summed over the horizon, per-path functional values).
+    The cell averages are regressed on the state at each cell's left node.
+    The first cell starts at node 0, where every path sits at x0, so its fit
+    is the intercept alone; the other cells run in one stacked fit.  Returns
+    (the mean-square deviation functional summed over the horizon, per-path
+    functional values).
     """
     grid = forward.grid
     n_ref = len(grid) - 1
@@ -164,9 +166,14 @@ def _coarse_projection(forward, z_ref, coarse_steps, basis):
     mids = np.moveaxis(mids, 1, 0).reshape(coarse_steps, stride, -1)
     avg = (cell_dt[:, None, :] @ mids) / np.sum(cell_dt, axis=1)[:, None, None]
     feats = np.moveaxis(forward.x[:, :n_ref:stride], 1, 0)
-    solver = DesignSolver(expand_features(feats, basis.degree), basis.ridge)
-    coeff = solver.solve(avg.reshape(coarse_steps, m_paths, -1))
-    z_bar = solver.fitted(coeff).reshape(coarse_steps, m_paths, *z_ref.shape[2:])
+    targets = avg.reshape(coarse_steps, m_paths, -1)
+    z_bar = np.empty_like(targets)
+    # the first cell's design has no feature columns: the intercept alone
+    for cells, cell_feats in ((slice(0, 1), feats[:1, :, :0]), (slice(1, None), feats[1:])):
+        if len(cell_feats):
+            solver = DesignSolver(expand_features(cell_feats, basis.degree), basis.ridge)
+            z_bar[cells] = solver.fitted(solver.solve(targets[cells]))
+    z_bar = z_bar.reshape(coarse_steps, m_paths, *z_ref.shape[2:])
     per_path = _cell_deviation(z_ref, z_bar, cell_dt)
     return float(np.mean(per_path)), per_path
 

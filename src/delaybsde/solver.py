@@ -110,14 +110,21 @@ class SolutionBundle:
     feasibility: dict | None = None
 
     @property
+    def last_update(self):
+        return _last_update(self.diffs_y, self.diffs_z)
+
+    @property
     def converged(self):
         """True when the last update fell below tol, False when cut off at max_sweeps."""
-        return bool(self.diffs_y) and max(self.diffs_y[-1], self.diffs_z[-1]) < self.tol
+        return self.last_update < self.tol
 
 
 @dataclass(frozen=True)
 class VariationalBundle:
-    """Directional state-derivative of the solution along direction h."""
+    """Directional state-derivative of the solution along direction h.
+
+    converged follows the rule of SolutionBundle on diffs_p and diffs_q.
+    """
 
     direction: np.ndarray
     p: np.ndarray
@@ -125,6 +132,21 @@ class VariationalBundle:
     diffs_p: tuple
     diffs_q: tuple
     sweeps: int
+    tol: float
+
+    @property
+    def last_update(self):
+        return _last_update(self.diffs_p, self.diffs_q)
+
+    @property
+    def converged(self):
+        """True when the last update fell below tol, False when cut off at max_sweeps."""
+        return self.last_update < self.tol
+
+
+def _last_update(*diffs):
+    """Largest last-sweep update over the components; nan before any sweep."""
+    return max((d[-1] for d in diffs if d), default=float("nan"))
 
 
 def _convolve_nodes(weights, values):
@@ -154,18 +176,68 @@ def regression_basis(problem, basis):
     measures = {"xdel": problem.alpha_x, "ydel": problem.alpha_y, "zdel": problem.alpha_z}
     features = [name for name in basis.features
                 if name not in measures or not measures[name].is_zero] or ["x"]
+    return features, _basis_size(problem, features, basis.degree)
+
+
+def _basis_size(problem, features, degree):
+    """Number of total-degree monomials in the columns of the named features."""
     width = {"x": problem.dim_x, "xdel": problem.dim_x, "ydel": problem.dim_y,
              "zdel": problem.dim_y * problem.dim_x}
     n_columns = sum(width[name] for name in features)
-    return features, math.comb(n_columns + basis.degree, basis.degree)
+    return math.comb(n_columns + degree, degree)
+
+
+# Bytes of regression design that one stacked fit may hold: a stack of nodes
+# fitted on k basis functions has at most max(1, DESIGN_BUDGET // (M k 8))
+# nodes, which bounds the memory a stack adds to the sweep's own (N+1, M, ...)
+# arrays.  At 1 MiB the benchmark's Monte Carlo workloads hold no more live
+# memory than with one fit per node; at 4 MiB their peak RSS rose by 5-11 MB.
+DESIGN_BUDGET = 2**20
+
+
+def _feature_plan(problem, features, weights, n_paths, degree):
+    """Stacks of sweep 1 and of the later sweeps: (lo, hi, live features), top first.
+
+    A feature is live at node i when a rule on the cell weights says it can
+    vary across paths there; no test reads the data.  x is dead at node 0,
+    where every path sits at x0.  A delayed convolution is live where its
+    weight row reads a node after node 0: node 0's state is x0 and its fit
+    is intercept-only, so a row reading node 0 alone reads a constant.  ydel
+    and zdel are dead in sweep 1, whose iterate is zero.  Contiguous nodes
+    with one live set are cut, from the top, into stacks of at most
+    DESIGN_BUDGET bytes of design at their own basis size.
+    """
+    wx, wy, wz = weights
+    n = wx.shape[1]
+    live_at = {"x": np.arange(n) > 0,
+               **{name: w[:n, 1:].any(axis=1)
+                  for name, w in (("xdel", wx), ("ydel", wy), ("zdel", wz))}}
+    later = [tuple(name for name in features if live_at[name][i]) for i in range(n)]
+    first = [tuple(name for name in names if name not in ("ydel", "zdel")) for names in later]
+    plan = []
+    for live in (first, later):
+        stacks = []
+        hi = n
+        while hi > 0:
+            names = live[hi - 1]
+            block = max(1, DESIGN_BUDGET // (n_paths * _basis_size(problem, names, degree) * 8))
+            lo = hi - 1
+            while lo > max(0, hi - block) and live[lo - 1] == names:
+                lo -= 1
+            stacks.append((lo, hi, names))
+            hi = lo
+        plan.append(tuple(stacks))
+    return tuple(plan)
 
 
 def _solve_setup(problem, forward, basis):
-    """Cell weights, node-major delayed forward state and regression basis of one solve."""
+    """Cell weights, node-major delayed forward state and feature plan of one solve."""
     measures = (problem.alpha_x, problem.alpha_y, problem.alpha_z)
-    wx, wy, wz = (cell_weights(m, forward.grid) for m in measures)
-    xdel_all = _convolve_nodes(wx, _path_major(forward.x))
-    return wx, wy, wz, xdel_all, regression_basis(problem, basis)
+    weights = tuple(cell_weights(m, forward.grid) for m in measures)
+    xdel_all = _convolve_nodes(weights[0], _path_major(forward.x))
+    features, _ = regression_basis(problem, basis)
+    plan = _feature_plan(problem, features, weights, forward.n_paths, basis.degree)
+    return (*weights, xdel_all, plan)
 
 
 def _suffix_sums(terminal_vals, f_all, dt):
@@ -178,8 +250,20 @@ def _suffix_sums(terminal_vals, f_all, dt):
     suffix = np.empty((n + 1, *terminal_vals.shape))
     suffix[n] = terminal_vals
     np.multiply(f_all[:n], dt[:, None, None], out=suffix[:n])
-    np.add.accumulate(suffix[::-1], axis=0, out=suffix[::-1])
+    for i in range(n - 1, -1, -1):
+        suffix[i] += suffix[i + 1]
     return suffix
+
+
+def _node_squares(update):
+    """Squared norm per node and path of a node-major update (N+1, M, ...).
+
+    Squares the update in place; a single trailing entry is read, not summed.
+    """
+    np.square(update, out=update)
+    if update[0, 0].size == 1:
+        return update.reshape(update.shape[:2])
+    return np.sum(update, axis=tuple(range(2, update.ndim)))
 
 
 def _max_rms(squares):
@@ -191,14 +275,6 @@ def _max_rms(squares):
     return float(np.max(np.sqrt(np.mean(np.ascontiguousarray(squares.T), axis=0))))
 
 
-# Bytes of regression design that one stacked fit may hold: a sweep fits its
-# nodes in blocks of max(1, DESIGN_BUDGET // (M k 8)) nodes, which bounds the
-# memory a block adds to the sweep's own (N+1, M, ...) arrays.  At 1 MiB the
-# benchmark's Monte Carlo workloads hold no more live memory than with one fit
-# per node; at 4 MiB their peak RSS rose by 5-11 MB.
-DESIGN_BUDGET = 2**20
-
-
 def _run_sweeps(forward, terminal_vals, wy, wz, driver_all, xdel_all, basis_plan, basis,
                 max_sweeps, tol):
     """Shared Picard engine for the base and the variational solves.
@@ -206,12 +282,14 @@ def _run_sweeps(forward, terminal_vals, wy, wz, driver_all, xdel_all, basis_plan
     wy, wz: cell weights of the delayed value and control convolutions;
     driver_all(ydel_all, zdel_all) -> node-major driver values (N+1, M, m)
     from node-major convolutions, of which node N is never read;
-    xdel_all: node-major delayed state; basis_plan: regression feature names
-    and basis size k, the features read at each node from the state, xdel_all
+    xdel_all: node-major delayed state; basis_plan: the feature plan of
+    _feature_plan, the stacks of sweep 1 and of the later sweeps as
+    (lo, hi, live features), read at nodes lo..hi-1 from the state, xdel_all
     and the current sweep's convolutions.  The iterate is node-major, and each
-    sweep walks node blocks backward from the terminal node with one stacked
-    fit per block.  Sweeps stop once the max-node RMS update of both
-    components drops below tol.  Returns path-major (M, N+1, ...) arrays.
+    sweep walks its stacks backward from the terminal node with one stacked
+    fit per stack, on the stack's live features only.  Sweeps stop once the
+    max-node RMS update of both components drops below tol.  Returns
+    path-major (M, N+1, ...) arrays.
     """
     grid = forward.grid
     x_nodes, dw_nodes = _path_major(forward.x), _path_major(forward.dw)
@@ -219,8 +297,6 @@ def _run_sweeps(forward, terminal_vals, wy, wz, driver_all, xdel_all, basis_plan
     dt = np.diff(grid)
     m_paths, dim_y = terminal_vals.shape
     dim_ctrl = dw_nodes.shape[2]
-    features, k = basis_plan
-    block = max(1, DESIGN_BUDGET // (m_paths * k * 8))
     y = np.zeros((n + 1, m_paths, dim_y))
     z = np.zeros((n + 1, m_paths, dim_y, dim_ctrl))
     diffs_y, diffs_z = [], []
@@ -229,21 +305,21 @@ def _run_sweeps(forward, terminal_vals, wy, wz, driver_all, xdel_all, basis_plan
         ydel_all, zdel_all = _convolve_nodes(wy, y), _convolve_nodes(wz, z)
         f_all = driver_all(ydel_all, zdel_all)
         named = {"x": x_nodes, "xdel": xdel_all, "ydel": ydel_all, "zdel": zdel_all}
-        columns = [named[name] for name in features]
         suffix = _suffix_sums(terminal_vals, f_all, dt)
         y_new = np.zeros_like(y)
         z_new = np.zeros_like(z)
         y_new[n] = terminal_vals
-        for hi in range(n, 0, -block):
-            lo = max(0, hi - block)
-            feats = np.concatenate([c[lo:hi].reshape(hi - lo, m_paths, -1) for c in columns],
-                                   axis=-1)
+        for lo, hi, names in basis_plan[min(sweeps, 1)]:
+            feats = np.concatenate(
+                [named[name][lo:hi].reshape(hi - lo, m_paths, -1) for name in names],
+                axis=-1,
+            ) if names else np.empty((hi - lo, m_paths, 0))
             design = expand_features(feats, basis.degree)
             try:
                 solver = DesignSolver(design, basis.ridge)
             except ValueError:
-                # A stacked factorization fails for the whole block: refit the
-                # block's nodes one by one, from the top, to name the node.
+                # A stacked factorization fails for the whole stack: refit the
+                # stack's nodes one by one, from the top, to name the node.
                 for i in range(hi - 1, lo - 1, -1):
                     try:
                         DesignSolver(design[i - lo], basis.ridge)
@@ -258,9 +334,10 @@ def _run_sweeps(forward, terminal_vals, wy, wz, driver_all, xdel_all, basis_plan
             ctrl_target = innovation[..., None] * dw_nodes[lo:hi, :, None, :] / step[..., None]
             coeff_z = solver.solve(ctrl_target.reshape(hi - lo, m_paths, -1))
             z_new[lo:hi] = solver.fitted(coeff_z).reshape(hi - lo, m_paths, dim_y, dim_ctrl)
+        # The old iterate is not read again: its buffers take the updates.
         with np.errstate(over="ignore", invalid="ignore"):
-            diff_y = _max_rms(np.sum((y_new - y) ** 2, axis=-1))
-            diff_z = _max_rms(np.sum((z_new - z) ** 2, axis=(-2, -1)))
+            diff_y = _max_rms(_node_squares(np.subtract(y_new, y, out=y)))
+            diff_z = _max_rms(_node_squares(np.subtract(z_new, z, out=z)))
         y, z = y_new, z_new
         sweeps += 1
         diffs_y.append(diff_y)
@@ -343,7 +420,7 @@ def variational_solve(problem, forward, base, h, basis=None, max_sweeps=8, tol=1
     )
     return VariationalBundle(
         direction=h, p=p, q=q,
-        diffs_p=diffs_p, diffs_q=diffs_q, sweeps=sweeps,
+        diffs_p=diffs_p, diffs_q=diffs_q, sweeps=sweeps, tol=tol,
     )
 
 

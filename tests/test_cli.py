@@ -131,9 +131,7 @@ class TestCliCommands:
 
     def test_numerical_failure_exits_1(self, tmp_path, capsys):
         cfg = base_config()
-        # zero ridge on designs with constant or vanishing columns (node 0,
-        # where every path sits at x0, and nodes before the first lag)
-        cfg["solver"]["basis"] = {"ridge": 0.0}
+        _zero_ridge(cfg)
         path = write_config(tmp_path, cfg)
         code = main(["solve", "--config", path, "--out", str(tmp_path / "out")])
         assert code == 1
@@ -265,6 +263,25 @@ class TestCliCommands:
         rows = (out / "variational.csv").read_text().splitlines()
         assert rows[0] == "t,direction,mean_dy,sd_dy,mean_dz,sd_dz"
         assert len(rows) == 10
+
+    def test_truncated_variational_names_its_direction(self, tmp_path, capsys):
+        cfg = base_config(dim_x=2, forward={"preset": "brownian", "x0": [0.0, 0.0]},
+                          generator={"preset": "zero", "lipschitz": 0.0},
+                          terminal={"preset": "quadratic"}, delays={})
+        out = tmp_path / "out"
+        assert main(["variational", "--config", write_config(tmp_path, cfg), "--out", str(out),
+                     "--picard", "1", "--tol", "1e-12"]) == 0
+        printed = capsys.readouterr().out
+        assert printed.startswith("derivative sweeps per direction: [1, 1]; ")
+        for axis in (0, 1):
+            assert (f"direction {axis} stopped after 1 sweeps without converging "
+                    "(last update ") in printed
+        assert printed.count(">= tol 1e-12") == 2
+
+    def test_converged_variational_names_no_direction(self, tmp_path, capsys):
+        path = write_config(tmp_path, base_config())
+        assert main(["variational", "--config", path, "--out", str(tmp_path / "out")]) == 0
+        assert "stopped" not in capsys.readouterr().out
 
     def test_study_l2reg_runs(self, tmp_path):
         cfg = base_config()
@@ -482,6 +499,9 @@ def _long_x0(cfg):
 
 
 def _zero_ridge(cfg):
+    # zero ridge on a noise-free state: x and x^2 are constant columns at
+    # every node after node 0, so every design of sweep 1 is rank-deficient
+    cfg["forward"] = {"preset": "linear_drift", "x0": [0.0], "rate": 0.0, "vol": 0.0}
     cfg["solver"]["basis"] = {"ridge": 0.0}
 
 

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
+from delaybsde import regularity
 from delaybsde.forward import make_forward, simulate_forward
 from delaybsde.generators import make_driver, make_terminal
 from delaybsde.measures import DelayMeasure
-from delaybsde.regression import BasisSpec
+from delaybsde.regression import BasisSpec, DesignSolver
 from delaybsde.regularity import (
     apriori_scaling,
     best_approx_check,
@@ -119,6 +120,23 @@ class TestL2Regularity:
             _functional(fwd, z_ref, nc) for nc in (10, 20, 40)
         ]
         assert max(values) < 1e-3
+
+    def test_first_cell_is_fitted_on_the_intercept_alone(self, monkeypatch):
+        # every path starts at x0, so the first cell's projection is a sample
+        # mean, well posed even at zero ridge; the other cells share one stack
+        prob = make_problem(make_driver("zero"), make_terminal("quadratic"), x0=1.0)
+        fwd, z_ref = reference_control(prob, 40, 500)
+        shapes = []
+
+        def recording(design, ridge):
+            shapes.append(design.shape)
+            return DesignSolver(design, ridge)
+
+        monkeypatch.setattr(regularity, "DesignSolver", recording)
+        for n_coarse in (10, 1):
+            assert regularity.coarse_control_error(fwd, z_ref, n_coarse,
+                                                   BasisSpec(ridge=0.0)) > 0
+        assert shapes == [(1, 500, 1), (9, 500, 3), (1, 500, 1)]
 
     def test_mesh_must_divide_reference(self):
         prob = make_problem(make_driver("zero"), make_terminal("identity"))

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -46,6 +48,11 @@ def problem(driver, terminal, alpha_x=None, alpha_y=None, alpha_z=None, x0=0.0,
         beta=1.0,
         gamma=0.5,
     )
+
+
+def still_state():
+    """Noise-free state with zero drift: every path stays at x0."""
+    return make_forward("linear_drift", {"rate": 0.0, "vol": 0.0})
 
 
 def solve(prob, n_steps=20, n_paths=4000, seed=3, basis=None, sweeps=8, tol=1e-4):
@@ -259,18 +266,20 @@ class TestPicardSolve:
             solve(prob, n_steps=10, n_paths=500, sweeps=6, tol=1e-12)
 
     def test_regression_failure_carries_node_and_sweep(self):
-        prob = problem(make_driver("zero"), make_terminal("identity"))
+        prob = problem(make_driver("zero"), make_terminal("identity"), forward=still_state())
         with pytest.raises(ValueError, match=r"node \d+, sweep 1"):
-            # zero ridge plus constant features at the initial node makes the
-            # design rank-deficient
+            # zero ridge plus a state that never leaves x0 = 0 makes x and x^2
+            # zero columns at every node after node 0
             solve(prob, n_steps=4, n_paths=400,
                   basis=BasisSpec(degree=2, ridge=0.0), sweeps=2)
 
     def test_singular_gram_failure_carries_node_and_sweep(self):
-        # at x0 = 1 every node-0 column is exactly one, so the Gram matrix is
-        # 400 * ones(3, 3) and a ridge of 1e-300 does not move its diagonal
-        prob = problem(make_driver("zero"), make_terminal("identity"), x0=1.0)
-        with pytest.raises(ValueError, match=r"node 0, sweep 1: .*ridge 1e-300") as info:
+        # a state that never leaves x0 = 1 makes every column of nodes 1-3
+        # exactly one, so each Gram matrix is 400 * ones(3, 3) and a ridge of
+        # 1e-300 does not move its diagonal; the refit names the top node
+        prob = problem(make_driver("zero"), make_terminal("identity"), x0=1.0,
+                       forward=still_state())
+        with pytest.raises(ValueError, match=r"node 3, sweep 1: .*ridge 1e-300") as info:
             solve(prob, n_steps=4, n_paths=400,
                   basis=BasisSpec(degree=2, ridge=1e-300), sweeps=2)
         assert not isinstance(info.value.__cause__, np.linalg.LinAlgError)
@@ -289,6 +298,15 @@ class TestPicardSolve:
             loop[i] = loop[i + 1] + f_all[i] * dt[i]
         assert np.array_equal(_suffix_sums(terminal_vals, f_all, dt), loop)
 
+    @pytest.mark.parametrize("shape", [(9, 50, 1), (9, 50, 1, 1), (9, 50, 2), (9, 50, 2, 3)])
+    def test_update_squares_equal_the_summed_squares(self, shape):
+        rng = np.random.default_rng(len(shape))
+        new, old = rng.normal(size=shape), rng.normal(size=shape)
+        summed = np.sum((new - old) ** 2, axis=tuple(range(2, len(shape))))
+        squares = solver_module._node_squares(np.subtract(new, old, out=old))
+        assert np.array_equal(squares, summed)
+        assert solver_module._max_rms(squares) == solver_module._max_rms(summed)
+
 
 class TestFeatureSelection:
     @pytest.mark.parametrize("features, expected", [
@@ -302,17 +320,94 @@ class TestFeatureSelection:
 
     @pytest.mark.parametrize("case", ["all_delays_case", "brownian_2d_case"])
     def test_basis_size_counts_the_design_columns(self, monkeypatch, case):
+        # each design is as wide as the basis of its stack's live features,
+        # and the widest is the full basis that sizes the path-count check
         prob, basis = getattr(TestNodeBlocks(), case)()
-        widths = []
-
-        def recording(design, ridge):
-            widths.append(design.shape[-1])
-            return DesignSolver(design, ridge)
-
-        monkeypatch.setattr(solver_module, "DesignSolver", recording)
+        widths = record_designs(monkeypatch, lambda design: design.shape[-1])
         fwd = simulate_forward(prob.forward, prob.x0, np.linspace(0.0, T, 9), 200, 0)
+        plan = solver_module._solve_setup(prob, fwd, basis)[-1]
         picard_solve(prob, fwd, basis, 2, 1e-12)
-        assert set(widths) == {regression_basis(prob, basis)[1]}
+        width = {"x": prob.dim_x, "xdel": prob.dim_x, "ydel": prob.dim_y,
+                 "zdel": prob.dim_y * prob.dim_x}
+        expected = [math.comb(sum(width[name] for name in names) + basis.degree, basis.degree)
+                    for sweep in plan for _, _, names in sweep]
+        assert widths == expected
+        assert max(widths) == regression_basis(prob, basis)[1]
+
+
+def record_designs(monkeypatch, read):
+    """Replace the solver's DesignSolver by one that records read(design) per fit."""
+    records = []
+
+    def recording(design, ridge):
+        records.append(read(design))
+        return DesignSolver(design, ridge)
+
+    monkeypatch.setattr(solver_module, "DesignSolver", recording)
+    return records
+
+
+class TestFeaturePlan:
+    """Each node is fitted on the features that can vary across paths there.
+
+    The shape of the benchmark's compare-z on 16 steps: the atom of alpha_y
+    and alpha_z reads node i - 8, and the density of alpha_z nodes i - 16 to
+    i - 9, so the delayed value and control are live from node 9 on, from
+    sweep 2.
+    """
+
+    def compare_z_case(self):
+        return problem(
+            make_driver("linear_zdel", {"coeff": 0.1}), make_terminal("identity"),
+            alpha_y=lag_atom(),
+            alpha_z=DelayMeasure(T, atoms=((-0.25, 1.0),),
+                                 density_pieces=((-0.5, -0.25, 2.0),)),
+        )
+
+    def run(self, monkeypatch, read, sweeps=3):
+        prob = self.compare_z_case()
+        records = record_designs(monkeypatch, read)
+        fwd, sol = solve(prob, n_steps=16, n_paths=400, sweeps=sweeps, tol=1e-12)
+        variational_solve(prob, fwd, sol, [1.0], BasisSpec(), sweeps, 1e-12)
+        return prob, fwd, sol, records
+
+    def test_node_zero_is_a_sample_mean(self, monkeypatch):
+        prob, fwd, sol, _ = self.run(monkeypatch, lambda design: None)
+        plan = solver_module._solve_setup(prob, fwd, BasisSpec())[-1]
+        for sweep in plan:
+            assert sweep[-1] == (0, 1, ())
+        assert np.all(sol.y[:, 0] == sol.y[0, 0]) and np.all(sol.z[:, 0] == sol.z[0, 0])
+
+    def test_first_sweep_reads_no_delayed_solution(self, monkeypatch):
+        # sweep 1 fits on [1] and [1, x, x^2] alone; later sweeps add ydel and
+        # zdel from node 9 on
+        prob, fwd, _, widths = self.run(monkeypatch, lambda design: design.shape[-1], sweeps=1)
+        assert set(widths) == {1, 3}
+        first, later = solver_module._solve_setup(prob, fwd, BasisSpec())[-1]
+        assert {names for _, _, names in first} == {(), ("x",)}
+        assert {names for lo, _, names in later if lo >= 9} == {("x", "ydel", "zdel")}
+        assert {names for _, hi, names in later if hi <= 9} == {(), ("x",)}
+
+    def test_no_design_has_a_constant_column(self, monkeypatch):
+        def constant_columns(design):
+            """Non-intercept columns equal on every path, over the stack's nodes."""
+            return int(np.sum(np.all(design[..., 1:] == design[..., :1, 1:], axis=-2)))
+
+        *_, records = self.run(monkeypatch, constant_columns)
+        assert len(records) > 0 and not any(records)
+
+    def test_each_stack_holds_its_own_budget(self, monkeypatch):
+        # 5 nodes of [1, x, x^2] per stack, 1 node of the 10-column basis
+        budget = 5 * 400 * 3 * 8
+        monkeypatch.setattr(solver_module, "DESIGN_BUDGET", budget)
+        *_, shapes = self.run(monkeypatch, lambda design: design.shape)
+        by_k = {}
+        for nodes, m_paths, k in shapes:
+            by_k.setdefault(k, []).append(nodes)
+            assert nodes == 1 or nodes * m_paths * k * 8 <= budget
+        assert max(by_k[3]) == 5 and set(by_k[10]) == {1} and set(by_k[1]) == {1}
+
+
 class TestVariational:
     def test_identity_terminal_gives_unit_derivative(self):
         prob = problem(make_driver("zero"), make_terminal("identity"))
@@ -350,6 +445,16 @@ class TestVariational:
             np.array([1.0]),
         )
         assert np.allclose(var.p[:, -1], expected)
+
+    def test_converged_follows_the_rule_of_the_base_solve(self):
+        prob = problem(make_driver("linear_zdel", {"coeff": 0.1}), make_terminal("quadratic"),
+                       alpha_z=lag_atom())
+        fwd, sol = solve(prob, n_steps=8, n_paths=500)
+        cut = variational_solve(prob, fwd, sol, [1.0], BasisSpec(), 1, 1e-12)
+        done = variational_solve(prob, fwd, sol, [1.0], BasisSpec(), 8, 1e-3)
+        assert cut.tol == 1e-12 and not cut.converged
+        assert cut.last_update == max(cut.diffs_p[0], cut.diffs_q[0])
+        assert done.converged and done.sweeps < 8 and done.last_update < 1e-3
 
 
 class TestRepresentation:
@@ -785,13 +890,33 @@ class TestNodeBlocks:
             assert sol.diffs_y == one[0].diffs_y and var.diffs_q == one[1].diffs_q
         assert one[0].y.flags.c_contiguous and one[1].q.flags.c_contiguous
 
-    @pytest.mark.parametrize("features, node", [(("x",), 0), (("x", "zdel"), 7)])
-    def test_failure_inside_a_block_names_its_node(self, monkeypatch, features, node):
-        # x0 = 0 makes node 0 rank-deficient, and zdel is zero at every node
-        # in sweep 1; the sweep fits all eight nodes in one block
+    @staticmethod
+    def late_noise():
+        """Brownian state switched on at t = 0.25: it stays at x0 through node 4 of 8."""
+        def diffusion(t, x):
+            on = (np.asarray(t) >= 0.25)[..., None, None]
+            return np.broadcast_to(on, (*x.shape[:-1], 1, 1)).astype(float)
+
+        brownian = make_forward("brownian")
+        return SdeCoefficients("late_noise", 1, brownian.drift, diffusion,
+                               brownian.grad_drift, brownian.grad_diffusion)
+
+    @pytest.mark.parametrize("features, forward, node, sweep", [
+        # the state is x0 at nodes 1-4, inside the stack of nodes 1-7
+        (("x",), "late_noise", 4, 1),
+        # node 7 reads node 3 through the same atom in y and z, where both are
+        # fitted quadratics in x_3: y, z and their squares and product span at
+        # most the five monomials of x_3 up to degree 4
+        (("x", "ydel", "zdel"), "brownian", 7, 2),
+    ])
+    def test_failure_inside_a_block_names_its_node(self, monkeypatch, features, forward,
+                                                   node, sweep):
         monkeypatch.setattr(solver_module, "DESIGN_BUDGET", 2**40)
-        prob = problem(make_driver("zero"), make_terminal("identity"), alpha_z=lag_atom())
-        with pytest.raises(ValueError, match=f"^regression failed at node {node}, sweep 1: "
+        coeffs = self.late_noise() if forward == "late_noise" else make_forward(forward)
+        prob = problem(make_driver("zero"), make_terminal("identity"), alpha_y=lag_atom(),
+                       alpha_z=lag_atom(), forward=coeffs)
+        with pytest.raises(ValueError, match=f"^regression failed at node {node}, "
+                                             f"sweep {sweep}: "
                                              "rank-deficient design with zero ridge"):
             solve(prob, n_steps=8, n_paths=400,
                   basis=BasisSpec(features=features, ridge=0.0), sweeps=2)
