@@ -2,7 +2,7 @@
 
 __version__ = "0.1.0"
 
-from .measures import DelayMeasure, GridPath, delayed_convolution
+from .measures import DelayMeasure
 from .constants import (
     StructuralParams,
     ConstantsReport,
@@ -35,8 +35,6 @@ from .regularity import (
 
 __all__ = [
     "DelayMeasure",
-    "GridPath",
-    "delayed_convolution",
     "StructuralParams",
     "ConstantsReport",
     "bdg_constant",

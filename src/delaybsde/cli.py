@@ -199,6 +199,16 @@ def _stopped(bundle):
             f"(last update {bundle.last_update:.3g} >= tol {bundle.tol:.3g})")
 
 
+def _unconverged(solves):
+    """Stdout suffix naming each (label, bundle) solve cut off at its sweep limit."""
+    return "".join(f"; {label} {_stopped(bundle)}" for label, bundle in solves
+                   if not bundle.converged)
+
+
+def _directions(variationals):
+    return [(f"direction {axis}", var) for axis, var in enumerate(variationals)]
+
+
 def _variationals(problem, settings, forward, solution):
     """One derivative solve per coordinate direction of the initial state."""
     return [
@@ -220,11 +230,9 @@ def cmd_variational(args, cfg):
                          float(np.mean(p_i)), float(np.std(p_i)),
                          float(np.mean(q_i)), float(np.std(q_i))])
     header = ["t", "direction", "mean_dy", "sd_dy", "mean_dz", "sd_dz"]
-    stopped = "".join(f"; direction {axis} {_stopped(var)}"
-                      for axis, var in enumerate(variationals) if not var.converged)
     return ({"variational.csv": (header, rows)}, {},
             f"derivative sweeps per direction: {[var.sweeps for var in variationals]}"
-            f"{stopped}")
+            f"{_unconverged(_directions(variationals))}")
 
 
 def cmd_compare_z(args, cfg):
@@ -232,8 +240,8 @@ def cmd_compare_z(args, cfg):
     if steps < 2:
         raise ConfigError(f"compare-z needs at least 2 steps for an interior node, got {steps}")
     problem, settings, forward, solution = _solve_from_config(cfg, args)
-    z_rep = representation_z(forward, _variationals(problem, settings, forward, solution),
-                             problem.forward)
+    variationals = _variationals(problem, settings, forward, solution)
+    z_rep = representation_z(forward, variationals, problem.forward)
     rows = []
     for i, t in enumerate(forward.grid):
         diff = solution.z[:, i] - z_rep[:, i]
@@ -243,7 +251,8 @@ def cmd_compare_z(args, cfg):
         rows.append([float(t), num, den, rel])
     interior = [row[3] for row in rows[1:-1]]
     return ({"compare_z.csv": (["t", "abs_distance", "ref_norm", "rel_distance"], rows)}, {},
-            f"max interior relative distance: {max(interior):.4g}")
+            f"max interior relative distance: {max(interior):.4g}"
+            f"{_unconverged([('base solve', solution), *_directions(variationals)])}")
 
 
 def cmd_fd_check(args, cfg):
@@ -277,7 +286,8 @@ def cmd_study_picard(args, cfg):
     verdict = {"ratios_below_one_after_sweep_2": contracting,
                "feasible_l2": bool(feas.get("l2", False))}
     return ({"picard.csv": (["sweep", "diff_y", "diff_z", "ratio"], rows)}, verdict,
-            f"sweep diffs: {diffs}; contracting after sweep 2: {contracting}")
+            f"sweep diffs: {diffs}; contracting after sweep 2: {contracting}"
+            f"{_unconverged([('base solve', solution)])}")
 
 
 def _separations(cfg, args):
@@ -302,12 +312,16 @@ def _separations(cfg, args):
     return seps
 
 
-def _rate_outputs(name, header, report, what):
-    """Table, verdict and line of a rate study: fitted slope against the paper's target."""
+def _rate_outputs(name, header, report, what, solves):
+    """Table, verdict and line of a rate study: fitted slope against the paper's target.
+
+    The line names each of the (label, bundle) solves that did not converge.
+    """
     verdict = {"target_slope": report.target_slope, "fitted_slope": report.slope,
                "pass": report.passed}
     return ({name: (header, zip(report.sizes, report.values))}, verdict,
-            f"{what} slope: {report.slope:.3f} (target {report.target_slope})")
+            f"{what} slope: {report.slope:.3f} (target {report.target_slope})"
+            f"{_unconverged(solves)}")
 
 
 def cmd_study_yinc(args, cfg):
@@ -317,7 +331,8 @@ def cmd_study_yinc(args, cfg):
     p = float(study.get("moment_p", 2.0))
     tol = float(study.get("slope_tol", 0.15 if p == 2 else 0.3))
     report = y_increment_rate(solution, p, seps, tol)
-    return _rate_outputs("yinc.csv", ["separation", "moment"], report, "increment moment")
+    return _rate_outputs("yinc.csv", ["separation", "moment"], report, "increment moment",
+                         [("base solve", solution)])
 
 
 def _meshes(cfg, args):
@@ -345,10 +360,11 @@ def cmd_study_l2reg(args, cfg):
     tol_slope = float(cfg.get("study", {}).get("slope_tol", 0.3))
     problem, settings, forward, solution = _solve_from_config(cfg, args, ref_steps,
                                                               state_fit=True)
-    z_ref = representation_z(forward, _variationals(problem, settings, forward, solution),
-                             problem.forward)
+    variationals = _variationals(problem, settings, forward, solution)
+    z_ref = representation_z(forward, variationals, problem.forward)
     report = l2_regularity(forward, z_ref, meshes, settings["basis"], tol_slope)
-    return _rate_outputs("l2reg.csv", ["mesh_size", "functional"], report, "regularity")
+    return _rate_outputs("l2reg.csv", ["mesh_size", "functional"], report, "regularity",
+                         [("base solve", solution), *_directions(variationals)])
 
 
 def cmd_study_apriori(args, cfg):

@@ -29,10 +29,6 @@ __all__ = [
     "StructuralParams",
     "ConstantsReport",
     "bdg_constant",
-    "stability_constants",
-    "apriori_constant",
-    "l2_existence_check",
-    "lp_contraction_check",
     "constants_report",
     "best_feasible",
     "search_feasible",
@@ -155,19 +151,17 @@ def _masses(params, beta):
     return mass, weighted, lip_eff, wy, wz
 
 
-def _l2(params, beta, lip_eff, wy, wz):
-    scale = (8.0 * params.horizon + 1.0 / beta) * lip_eff * max(1.0, params.horizon)
-    lhs_y = scale * wy
-    lhs_z = scale * wz
-    return lhs_y, lhs_z, (lhs_y < 1.0) & (lhs_z < 1.0)
+def constants_report(params):
+    """Evaluate every constant at (beta, gamma) and collect the verdicts.
 
-
-def _evaluate(params):
-    """(report, a priori pieces, L^p condition) over broadcast (beta, gamma), each formula once.
-
-    The pieces and the condition hold values where p > 2, d2 > 0 and d3 > 0
-    and nan (False) elsewhere; unlike the report they are not masked where
-    d1 <= 0.  All three come back shaped like the report's fields.
+    beta and gamma may be arrays; every field of the report then has their
+    broadcast shape, so ``replace(params, beta=betas[:, None],
+    gamma=gammas[None, :])`` evaluates a whole grid in one call.  Fields that
+    require p > 2 or a feasible energy estimate are nan where they do not
+    apply; infeasibility is a verdict here, not an error, but gamma <= 0 or
+    beta < 0 anywhere raises.  The margin is min(d1, d2[, d3], 1 - condition
+    lhs), positive where feasible, with the L2 existence condition at p = 2
+    and the contraction condition at p > 2.
     """
     p, T = params.p, params.horizon
     beta = np.asarray(params.beta, dtype=float)
@@ -195,25 +189,23 @@ def _evaluate(params):
                 - (wl * T / gamma) ** (p / 2) * (p / (p - 2)) ** (p / 2) * 2.0 ** (p - 2),
                 -np.inf,
             )
-            holds = (d2 > 0.0) & (d3 > 0.0)
+            shown = (d1 > 0.0) & (d2 > 0.0) & (d3 > 0.0)
             pieces = _apriori(params, gamma, wl, dp, ratio, d2, d3)
+            # L^p contraction: 2^(p/2-1) C_p (L T w(rho))^(p/2) max(1, T^(p/2)) < 1
             scale = 2.0 ** (p / 2 - 1) * pieces[-1] * max(1.0, T ** (p / 2))
-            lhs_y = scale * (lip_eff * T * wy) ** (p / 2)
-            lhs_z = scale * (lip_eff * T * wz) ** (p / 2)
-            pieces = [np.where(holds, c, nan) for c in pieces]
-            lp = [np.where(holds, lhs_y, nan), np.where(holds, lhs_z, nan),
-                  holds & (lhs_y < 1.0) & (lhs_z < 1.0)]
+            lhs = [scale * (lip_eff * T * w) ** (p / 2) for w in (wy, wz)]
         else:
             dp = nan
             d3 = np.full(d2.shape, nan)
-            holds = np.zeros(d2.shape, dtype=bool)
-            pieces = [d3] * 6
-            lp = [d3, d3, holds]
-        shown = (d1 > 0.0) & holds
+            shown = np.zeros(d2.shape, dtype=bool)
+            pieces, lhs = [d3] * 6, [d3] * 2
         gamma3, cp1, cp2, cp3, cp4, cp = (np.where(shown, c, nan) for c in pieces)
-        lp_y, lp_z = (np.where(shown, lhs, nan) for lhs in lp[:2])
+        lp_y, lp_z = (np.where(shown, c, nan) for c in lhs)
         positive = beta > 0.0
-        l2_y, l2_z, l2_ok = _l2(params, beta, lip_eff, wy, wz)
+        # L2 existence condition: (8T + 1/beta) L w(rho) max(1, T) < 1 per measure
+        l2_scale = (8.0 * T + 1.0 / beta) * lip_eff * max(1.0, T)
+        l2_y, l2_z = l2_scale * wy, l2_scale * wz
+        l2_ok = (l2_y < 1.0) & (l2_z < 1.0)
         l2_y, l2_z = np.where(positive, l2_y, nan), np.where(positive, l2_z, nan)
         margin = np.minimum(d1, d2)
         if p == 2:
@@ -229,7 +221,7 @@ def _evaluate(params):
         l2_lhs_y=l2_y, l2_lhs_z=l2_z, lp_lhs_y=lp_y, lp_lhs_z=lp_z,
         feasible_l2=positive & l2_ok,
         feasible_energy=shown if p > 2 else (d1 > 0.0) & (d2 > 0.0),
-        feasible_contraction=shown & lp[2],
+        feasible_contraction=shown & (lp_y < 1.0) & (lp_z < 1.0),
         margin=margin,
     )
     work = np.broadcast_shapes(beta.shape, gamma.shape)
@@ -238,74 +230,7 @@ def _evaluate(params):
         value = np.broadcast_to(value, work).reshape(grid)
         return value.item() if grid == () else value
 
-    report = ConstantsReport(**{name: shaped(value) for name, value in values.items()})
-    return report, tuple(map(shaped, pieces)), tuple(map(shaped, lp))
-
-
-def _apriori_point(params):
-    if params.p <= 2:
-        raise ValueError("a priori constant defined for p > 2 only")
-    report, pieces, lp = _evaluate(params)
-    if not (report.d2 > 0.0 and report.d3 > 0.0):
-        raise ValueError(
-            f"a priori estimate infeasible at (beta={params.beta}, gamma={params.gamma}): "
-            f"d2={report.d2}, d3={report.d3}"
-        )
-    return pieces, lp
-
-
-def stability_constants(params):
-    """Energy constants (d1, d2, d3) of the weighted-norm estimate.
-
-    d3 is reported as -inf on the singular set gamma <= weighted_mass * L so
-    that grid searches can skip infeasible candidates without raising; it
-    needs p > 2 and is nan at p = 2.
-    """
-    report = constants_report(params)
-    return report.d1, report.d2, report.d3
-
-
-def apriori_constant(params):
-    """A priori constant pieces (gamma3, c1, c2, c3, c4, cp) for p > 2.
-
-    Raises when the energy constants fail, since the estimate then carries no
-    information at this (beta, gamma).
-    """
-    return _apriori_point(params)[0]
-
-
-def l2_existence_check(params):
-    """L2 existence condition: (8T + 1/beta) L w(rho) max(1, T) < 1 per measure."""
-    if params.beta <= 0:
-        raise ValueError("beta must be positive")
-    with np.errstate(all="ignore"):
-        _, _, lip_eff, wy, wz = _masses(params, params.beta)
-        lhs_y, lhs_z, holds = _l2(params, params.beta, lip_eff, wy, wz)
-    return float(lhs_y), float(lhs_z), bool(holds)
-
-
-def lp_contraction_check(params):
-    """L^p Picard contraction condition for p > 2.
-
-    Left-hand side per measure: 2^(p/2-1) C_p (L T w(rho))^(p/2) max(1, T^(p/2)).
-    Errors from the a priori constant propagate.
-    """
-    return _apriori_point(params)[1]
-
-
-def constants_report(params):
-    """Evaluate every constant at (beta, gamma) and collect the verdicts.
-
-    beta and gamma may be arrays; every field of the report then has their
-    broadcast shape, so ``replace(params, beta=betas[:, None],
-    gamma=gammas[None, :])`` evaluates a whole grid in one call.  Fields that
-    require p > 2 or a feasible energy estimate are nan where they do not
-    apply; infeasibility is a verdict here, not an error, but gamma <= 0 or
-    beta < 0 anywhere raises.  The margin is min(d1, d2[, d3], 1 - condition
-    lhs), positive where feasible, with the L2 existence condition at p = 2
-    and the contraction condition at p > 2.
-    """
-    return _evaluate(params)[0]
+    return ConstantsReport(**{name: shaped(value) for name, value in values.items()})
 
 
 def best_feasible(report):

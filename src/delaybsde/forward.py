@@ -6,9 +6,7 @@ inverted only where a formula reads the inverse (dimensions stay small, so
 direct inversion beats simulating the inverse flow).  At d = 1 the
 singularity check reads the flow entry itself and the inverse is its
 reciprocal, bit-equal to LAPACK's and without its per-matrix overhead; for
-d >= 2 both go through `np.linalg.det` / `np.linalg.inv`.  The
-Brownian-perturbation derivative of X is assembled from the flow as
-G_t G_u^{-1} sigma(u, X_u).
+d >= 2 both go through `np.linalg.det` / `np.linalg.inv`.
 
 Coefficients come from a preset registry, keeping configs data-only.
 Randomness is counter-based: path i draws from a Philox stream keyed by
@@ -35,7 +33,6 @@ __all__ = [
     "euler_paths",
     "bundle_from_increments",
     "simulate_forward",
-    "malliavin_forward",
     "FORWARD_PRESETS",
 ]
 
@@ -237,20 +234,3 @@ def simulate_forward(coeffs, x0, grid, n_paths, seed):
     dw = brownian_increments(grid, n_paths, coeffs.dim, seed)
     return bundle_from_increments(coeffs, x0, grid, dw)
 
-
-def malliavin_forward(bundle, coeffs, u_index, t_index):
-    """Brownian-perturbation derivative of X at node t w.r.t. noise at node u.
-
-    Per path: grad_x[t] @ grad_x[u]^{-1} @ sigma(t_u, X_u); the zero matrix for
-    u > t since the perturbation acts only forward in time.
-    """
-    d = coeffs.dim
-    if u_index > t_index:
-        return np.zeros((bundle.n_paths, d, d))
-    sig = coeffs.diffusion(bundle.grid[u_index], bundle.x[:, u_index])
-    return np.einsum(
-        "pjl,plk,pkm->pjm",
-        bundle.grad_x[:, t_index],
-        _flow_inverse(bundle.grad_x[:, u_index]),
-        sig,
-    )

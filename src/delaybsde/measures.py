@@ -21,9 +21,7 @@ import numpy as np
 
 __all__ = [
     "DelayMeasure",
-    "GridPath",
     "cell_weights",
-    "delayed_convolution",
 ]
 
 # Absolute slack used when binning atoms into half-open intervals.  Grid
@@ -160,52 +158,6 @@ class DelayMeasure:
         return float(mass)
 
 
-@dataclass(frozen=True)
-class GridPath:
-    """Node values of a process on a time grid t_0 = 0 < ... < t_N = T.
-
-    Lookups between nodes are left-constant (the value at the last node not
-    after the query time); times below 0 read as zero.  The zero extension is
-    implicit, never stored.
-    """
-
-    grid: np.ndarray
-    values: np.ndarray
-
-    def __post_init__(self):
-        grid = np.asarray(self.grid, dtype=float)
-        values = np.asarray(self.values, dtype=float)
-        if grid.ndim != 1 or grid.size < 2:
-            raise ValueError("grid must hold at least two nodes")
-        if abs(grid[0]) > _SNAP:
-            raise ValueError("grid must start at 0")
-        if np.any(np.diff(grid) <= 0):
-            raise ValueError("grid must be strictly increasing")
-        if len(values) != len(grid):
-            raise ValueError("need one value per grid node")
-        object.__setattr__(self, "grid", grid)
-        object.__setattr__(self, "values", values)
-
-    @property
-    def n_steps(self):
-        return len(self.grid) - 1
-
-    def value_at(self, time):
-        """Left-constant lookup with zero extension below time 0."""
-        if time < -_SNAP:
-            return np.zeros_like(self.values[0])
-        idx = np.searchsorted(self.grid, time + _SNAP, side="right") - 1
-        idx = min(max(idx, 0), len(self.grid) - 1)
-        return self.values[idx]
-
-    def node_index(self, time):
-        """Index of the grid node equal to ``time``; raises off the grid."""
-        idx = np.searchsorted(self.grid, time + _SNAP, side="right") - 1
-        if idx < 0 or abs(self.grid[idx] - time) > 1e-9 * max(1.0, self.grid[-1]):
-            raise ValueError(f"off-grid time {time}")
-        return int(idx)
-
-
 def _cell_masses(measure, lo, hi):
     """``measure.interval_mass`` applied elementwise over arrays of cell bounds.
 
@@ -218,12 +170,6 @@ def _cell_masses(measure, lo, hi):
     for pa, pb, level in measure.density_pieces:
         mass += level * np.maximum(0.0, np.minimum(pb, hi) - np.maximum(pa, lo))
     return mass
-
-
-def _row_weights(measure, grid, rows):
-    """Rows ``rows`` (an index or a slice) of the cell-weight matrix."""
-    t = grid[rows][..., None]
-    return _cell_masses(measure, grid[:-1] - t, grid[1:] - t)
 
 
 def cell_weights(measure, grid):
@@ -243,24 +189,6 @@ def cell_weights(measure, grid):
                 stacklevel=2,
             )
             break
-    return _row_weights(measure, grid, slice(None))
+    t = grid[:, None]
+    return _cell_masses(measure, grid[:-1] - t, grid[1:] - t)
 
-
-def delayed_convolution(measure, path, t, power=1):
-    """Sliding convolution (phi . m)(t) or (|phi|^power . m)(t) at a grid node.
-
-    power 1 returns the raw (possibly vector) weighted sum; power > 1 applies
-    the Euclidean norm per node before weighting and returns a scalar.
-    """
-    if power < 1:
-        raise ValueError("power must be >= 1")
-    i = path.node_index(t)
-    weights = _row_weights(measure, path.grid, i)
-    vals = path.values[: len(weights)]
-    if power == 1:
-        return np.tensordot(weights, vals, axes=(0, 0))
-    if vals.ndim == 1:
-        mags = np.abs(vals)
-    else:
-        mags = np.linalg.norm(vals.reshape(len(vals), -1), axis=1)
-    return float(np.dot(weights, mags**power))

@@ -306,9 +306,11 @@ def _run_sweeps(forward, terminal_vals, wy, wz, driver_all, xdel_all, basis_plan
         f_all = driver_all(ydel_all, zdel_all)
         named = {"x": x_nodes, "xdel": xdel_all, "ydel": ydel_all, "zdel": zdel_all}
         suffix = _suffix_sums(terminal_vals, f_all, dt)
-        y_new = np.zeros_like(y)
-        z_new = np.zeros_like(z)
+        # The stacks write every node below N.
+        y_new = np.empty_like(y)
+        z_new = np.empty_like(z)
         y_new[n] = terminal_vals
+        z_new[n] = 0.0
         for lo, hi, names in basis_plan[min(sweeps, 1)]:
             feats = np.concatenate(
                 [named[name][lo:hi].reshape(hi - lo, m_paths, -1) for name in names],
@@ -451,7 +453,8 @@ class FdReport:
     (Y(x0 + eps_k h) - Y(x0)) / eps_k - grad_Y h, with all solves coupled to
     the same noise.  noise_floor repeats the measurement at a tiny step where
     the difference-quotient bias is negligible; richardson_error removes the
-    first-order bias from the two smallest steps.
+    first-order bias from the smallest step eps whose double 2 eps is also a
+    step, and is nan when no step has an exact double.
     """
 
     epsilons: tuple
@@ -508,9 +511,9 @@ def fd_directional_check(problem, h, epsilons, n_paths, n_steps, seed,
     floor_err, floor_se = _fd_error(quotient(FLOOR_EPSILON) - var.p)
 
     richardson = float("nan")
-    eps_sorted = sorted(epsilons)
-    for eps in eps_sorted:
-        if any(abs(other - 2 * eps) < 1e-12 for other in eps_sorted):
+    # Doubling is exact in binary floating point, so 0.25 pairs with 0.5.
+    for eps in sorted(epsilons):
+        if 2 * eps in quotients:
             fd1, fd2 = quotients[eps], quotients[2 * eps]
             richardson, _ = _fd_error((2 * fd1 - fd2) - var.p)
             break

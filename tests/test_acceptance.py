@@ -20,16 +20,10 @@ from conftest import (
     quadratic_problem,
 )
 from delaybsde.cli import main as cli_main
-from delaybsde.constants import (
-    StructuralParams,
-    bdg_constant,
-    l2_existence_check,
-    lp_contraction_check,
-    stability_constants,
-)
+from delaybsde.constants import StructuralParams, bdg_constant, constants_report
 from delaybsde.forward import simulate_forward
 from delaybsde.generators import make_driver, make_terminal
-from delaybsde.measures import DelayMeasure, GridPath
+from delaybsde.measures import DelayMeasure
 from delaybsde.regression import BasisSpec
 from delaybsde.regularity import (
     apriori_scaling,
@@ -56,10 +50,10 @@ def test_criterion_01_interchange_identity():
     for _ in range(10):
         lags = rng.choice(np.arange(1, n), size=3, replace=False)
         measure = DelayMeasure(1.0, atoms=tuple((-grid[j], rng.uniform(0.1, 2.0)) for j in lags))
-        path = GridPath(grid, rng.normal(size=n + 1))
+        values = rng.normal(size=n + 1)
         for t_idx in (0, n // 8, n // 2):
             for k in (1, 2):
-                lhs, rhs = riemann_sides(measure, path, t_idx, k)
+                lhs, rhs = riemann_sides(measure, grid, values, t_idx, k)
                 if abs(lhs) > 1e-12:
                     worst_atoms = max(worst_atoms, abs(lhs - rhs) / abs(lhs))
     worst_density = 0.0
@@ -70,10 +64,10 @@ def test_criterion_01_interchange_identity():
         measure = DelayMeasure(
             1.0, density_pieces=((grid[j1] - 1.0, grid[j2] - 1.0, rng.uniform(0.2, 2.0)),)
         )
-        path = GridPath(grid, rng.normal(size=n + 1))
+        values = rng.normal(size=n + 1)
         for t_idx in (0, n // 8, n // 2):
             for k in (1, 2):
-                lhs, rhs = exact_sides(measure, path, t_idx, k)
+                lhs, rhs = exact_sides(measure, grid, values, t_idx, k)
                 if abs(lhs) > 1e-12:
                     worst_density = max(worst_density, abs(lhs - rhs) / abs(lhs))
     ok = worst_atoms <= 1e-10 and worst_density <= 1e-6
@@ -90,18 +84,17 @@ def params_k(k, p=4.0, beta=1.0, gamma=0.5):
 
 
 def test_criterion_02_constants_limits_and_monotonicity():
-    d1, d2, d3 = stability_constants(params_k(0.0, beta=2.0, gamma=0.75))
-    exact = d1 == 2.0 - 0.75 and d2 == 1.0 and d3 == 1.0
+    rep = constants_report(params_k(0.0, beta=2.0, gamma=0.75))
+    exact = rep.d1 == 2.0 - 0.75 and rep.d2 == 1.0 and rep.d3 == 1.0
     ks = np.linspace(0.0, 8e-6, 20)
     d1s, d2s, d3s, l2s, lps = [], [], [], [], []
     for k in ks:
-        params = params_k(float(k))
-        a, b, c = stability_constants(params)
-        d1s.append(a)
-        d2s.append(b)
-        d3s.append(c)
-        l2s.append(max(l2_existence_check(params)[:2]))
-        lps.append(max(lp_contraction_check(params)[:2]))
+        rep = constants_report(params_k(float(k)))
+        d1s.append(rep.d1)
+        d2s.append(rep.d2)
+        d3s.append(rep.d3)
+        l2s.append(max(rep.l2_lhs_y, rep.l2_lhs_z))
+        lps.append(max(rep.lp_lhs_y, rep.lp_lhs_z))
     monotone = (
         all(np.diff(d1s) <= 1e-15)
         and all(np.diff(d2s) <= 1e-15)
@@ -126,7 +119,8 @@ def test_criterion_03_bdg_spot_values():
 # -- 4: the quadratic-norm existence condition fixture -----------------------
 
 def test_criterion_04_existence_condition_fixture():
-    lhs_y, lhs_z, feasible = l2_existence_check(params_k(0.1, p=2.0))
+    rep = constants_report(params_k(0.1, p=2.0))
+    lhs_y, lhs_z, feasible = rep.l2_lhs_y, rep.l2_lhs_z, rep.feasible_l2
     ok = abs(lhs_y - 0.642) <= 1e-3 and abs(lhs_z - 0.642) <= 1e-3 and feasible
     verdict(4, ok, f"lhs = {lhs_y:.6f} (0.642 +- 0.001), feasible={feasible}")
 

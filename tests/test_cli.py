@@ -9,13 +9,7 @@ import pytest
 from delaybsde import cli
 from delaybsde.cli import _COMMANDS, _fmt, _meshes, build_parser, main
 from delaybsde.config import ConfigError, build_problem, load_config, validate_config
-from delaybsde.constants import (
-    apriori_constant,
-    l2_existence_check,
-    lp_contraction_check,
-    search_feasible,
-    stability_constants,
-)
+from delaybsde.constants import constants_report, search_feasible
 from delaybsde.solver import picard_solve
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -35,6 +29,12 @@ def base_config(**overrides):
         "solver": {"paths": 600, "steps": 8, "picard": 4, "tol": 1e-3},
     }
     cfg.update(overrides)
+    return cfg
+
+
+def l2reg_config(**study):
+    cfg = base_config()
+    cfg["study"] = {"reference_steps": 16, **study}
     return cfg
 
 
@@ -186,13 +186,14 @@ class TestCliCommands:
         for name in ("solution.csv", "diagnostics.csv", "manifest.json"):
             assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
 
-    def test_compare_z_emits_per_node_distances(self, tmp_path):
+    def test_compare_z_emits_per_node_distances(self, tmp_path, capsys):
         path = write_config(tmp_path, base_config())
         out = tmp_path / "out"
         assert main(["compare-z", "--config", path, "--out", str(out)]) == 0
         rows = (out / "compare_z.csv").read_text().splitlines()
         assert rows[0] == "t,abs_distance,ref_norm,rel_distance"
         assert len(rows) == 10
+        assert "stopped" not in capsys.readouterr().out  # every solve converged
 
     def test_study_picard_writes_verdict(self, tmp_path):
         path = write_config(tmp_path, base_config())
@@ -324,6 +325,32 @@ class TestCliCommands:
         assert printed.startswith("stopped after 1 sweeps without converging (last update ")
         assert ">= tol 1e-12" in printed
         assert "converged in" not in printed and "solved" not in printed
+
+    @pytest.mark.parametrize("command, cfg, solves", [
+        ("compare-z", base_config(), ["base solve", "direction 0"]),
+        ("study-picard", base_config(), ["base solve"]),
+        ("study-yinc", base_config(), ["base solve"]),
+        ("study-l2reg", l2reg_config(meshes=[2, 4, 8]), ["base solve", "direction 0"]),
+    ])
+    def test_truncated_solves_of_a_study_are_named(self, tmp_path, capsys, command, cfg,
+                                                   solves):
+        out = tmp_path / "out"
+        assert main([command, "--config", write_config(tmp_path, cfg), "--out", str(out),
+                     "--picard", "1"]) == 0
+        printed = capsys.readouterr().out
+        for label in solves:
+            assert (f"; {label} stopped after 1 sweeps without converging "
+                    "(last update ") in printed
+        assert printed.count(">= tol 0.001") == len(solves)
+
+    def test_fd_check_near_pair_has_no_richardson_error(self, tmp_path):
+        # 0.2000000000005 is not the exact double of 0.1, so no step pairs
+        cfg = base_config(generator={"preset": "zero", "lipschitz": 0.0}, delays={},
+                          study={"fd_epsilons": [0.1, 0.2000000000005]})
+        out = tmp_path / "out"
+        assert main(["fd-check", "--config", write_config(tmp_path, cfg),
+                     "--out", str(out)]) == 0
+        assert "richardson_error: nan\n" in (out / "verdict.txt").read_text()
 
 
 class TestOverrideValidation:
@@ -555,12 +582,6 @@ def test_compare_z_solves_once_through_the_module_attribute(tmp_path, monkeypatc
     assert len((out / "compare_z.csv").read_text().splitlines()) == 10
 
 
-def l2reg_config(**study):
-    cfg = base_config()
-    cfg["study"] = {"reference_steps": 16, **study}
-    return cfg
-
-
 class TestMeshValidation:
     @pytest.mark.parametrize("study, flag, message", [
         ({}, "0,4,8", "--meshes 0,4,8: 0 is less than the minimum of 2"),
@@ -638,13 +659,16 @@ def _grid_values(flag):
 
 
 def _expected_row(params):
-    """One constants.csv row rebuilt from the scalar public functions, nan/-inf by rule."""
+    """One constants.csv row rebuilt from a scalar constants_report, nan/-inf by rule."""
     nan = float("nan")
-    d1, d2, d3 = stability_constants(params)
+    rep = constants_report(params)
+    d1, d2, d3 = rep.d1, rep.d2, rep.d3
     energy = d1 > 0 and d2 > 0 and d3 > 0
-    cp = apriori_constant(params)[-1] if energy else nan
-    lp_y, lp_z, lp_ok = lp_contraction_check(params) if energy else (nan, nan, False)
-    l2_y, l2_z, l2_ok = l2_existence_check(params) if params.beta > 0 else (nan, nan, False)
+    cp = rep.cp if energy else nan
+    lp_y, lp_z, lp_ok = ((rep.lp_lhs_y, rep.lp_lhs_z, rep.feasible_contraction) if energy
+                         else (nan, nan, False))
+    l2_y, l2_z, l2_ok = ((rep.l2_lhs_y, rep.l2_lhs_z, rep.feasible_l2) if params.beta > 0
+                         else (nan, nan, False))
     feasible = l2_ok if params.p == 2 else energy and lp_ok
     values = [params.beta, params.gamma, d1, d2, d3, cp, l2_y, l2_z, lp_y, lp_z]
     return [repr(float(v)) for v in values] + ["true" if feasible else "false"]

@@ -9,14 +9,10 @@ import pytest
 from delaybsde.constants import (
     ConstantsReport,
     StructuralParams,
-    apriori_constant,
     bdg_constant,
     best_feasible,
     constants_report,
-    l2_existence_check,
-    lp_contraction_check,
     search_feasible,
-    stability_constants,
 )
 from delaybsde.measures import DelayMeasure
 
@@ -116,10 +112,10 @@ def _l2(params, lip_eff, wy, wz):
 
 
 def _evaluate(params):
-    """(report, a priori pieces, L^p condition) at one (beta, gamma), each formula once.
+    """The report at one (beta, gamma), each formula once.
 
-    The pieces and the condition are None unless p > 2, d2 > 0 and d3 > 0;
-    they are returned also where d1 <= 0, although the report shows nan there.
+    The a priori pieces and the L^p condition are computed where p > 2,
+    d2 > 0 and d3 > 0; the report shows them only where also d1 > 0.
     """
     beta, gamma, p, T = params.beta, params.gamma, params.p, params.horizon
     if gamma <= 0:
@@ -157,7 +153,7 @@ def _evaluate(params):
         margin = min(d1, d2, d3, 1.0 - max(lp_y, lp_z))
     else:
         margin = min(d1, d2, d3)
-    report = ConstantsReport(
+    return ConstantsReport(
         beta=beta, gamma=gamma,
         mass_bound=mass, weighted_mass_bound=weighted,
         lip_eff=lip_eff, bdg=dp, d1=d1, d2=d2, d3=d3,
@@ -168,7 +164,6 @@ def _evaluate(params):
         feasible_contraction=feasible_contraction,
         margin=float(margin),
     )
-    return report, pieces, lp
 
 
 def mass_report(alpha_y, alpha_z, beta=1.0):
@@ -237,10 +232,10 @@ class TestBdgConstant:
 
 class TestStabilityConstants:
     def test_zero_lipschitz_limit(self):
-        d1, d2, d3 = stability_constants(params_for(0.0, beta=2.0, gamma=0.75))
-        assert d1 == 2.0 - 0.75
-        assert d2 == 1.0
-        assert d3 == 1.0
+        rep = constants_report(params_for(0.0, beta=2.0, gamma=0.75))
+        assert rep.d1 == 2.0 - 0.75
+        assert rep.d2 == 1.0
+        assert rep.d3 == 1.0
 
     def test_simple_arithmetic(self):
         # beta=2, gamma=1 and weighted lipschitz mass 0.5 pinned by hand:
@@ -249,50 +244,46 @@ class TestStabilityConstants:
         K = 0.5 / np.exp(1.0)
         params = StructuralParams(lipschitz=K, horizon=1.0, p=4.0, dim_y=1,
                                   alpha_y=meas, alpha_z=meas, beta=2.0, gamma=1.0)
-        d1, d2, _ = stability_constants(params)
-        assert d1 == pytest.approx(2.0 - 1.0 - 0.5, rel=1e-12)
-        assert d2 == pytest.approx(0.5, rel=1e-12)
+        rep = constants_report(params)
+        assert rep.d1 == pytest.approx(2.0 - 1.0 - 0.5, rel=1e-12)
+        assert rep.d2 == pytest.approx(0.5, rel=1e-12)
 
     def test_singular_boundary_reports_minus_inf(self):
         meas = atom_measure(1.0, -0.5)
         K = 1.0 / np.exp(1.0)  # weighted lipschitz mass equals gamma
         params = StructuralParams(lipschitz=K, horizon=1.0, p=4.0, dim_y=1,
                                   alpha_y=meas, alpha_z=meas, beta=2.0, gamma=1.0)
-        d1, d2, d3 = stability_constants(params)
-        assert d2 == pytest.approx(0.0, abs=1e-12)
-        assert d3 == float("-inf")
+        rep = constants_report(params)
+        assert rep.d2 == pytest.approx(0.0, abs=1e-12)
+        assert rep.d3 == float("-inf")
 
     def test_matches_oracle_on_feasible_point(self):
         params = params_for(1e-7)
         wy = params.alpha_y.exp_weighted_mass(1.0)
-        d1, d2, d3 = stability_constants(params)
+        rep = constants_report(params)
         o1, o2, o3, *_ = oracle_constants(1e-7, 0.5, 4.0, 1, 1.0, 0.5, wy, wy, 1.0, 1.0)
-        assert d1 == pytest.approx(o1, rel=1e-12)
-        assert d2 == pytest.approx(o2, rel=1e-12)
-        assert d3 == pytest.approx(o3, rel=1e-10)
+        assert rep.d1 == pytest.approx(o1, rel=1e-12)
+        assert rep.d2 == pytest.approx(o2, rel=1e-12)
+        assert rep.d3 == pytest.approx(o3, rel=1e-10)
 
 
 class TestAprioriConstant:
     GOLDEN_CP = 34720683304230.453  # frozen from the cross-checked evaluation
 
-    def test_infeasible_point_raises(self):
-        with pytest.raises(ValueError, match="infeasible"):
-            apriori_constant(params_for(0.01))
-
     def test_zero_lipschitz_gamma3_limit(self):
         p = 4.0
-        g3, *_ = apriori_constant(params_for(0.0, p=p))
+        g3 = constants_report(params_for(0.0, p=p)).gamma3
         expected = 0.5 * ((p - 2) / p) ** (p / 2) * 2.0 ** (-(3 * p / 2 - 2))
         assert g3 == pytest.approx(expected, rel=1e-12)
 
     def test_golden_value_and_oracle(self):
         params = params_for(1e-7)
-        g3, c1, c2, c3, c4, cp = apriori_constant(params)
-        assert cp == pytest.approx(self.GOLDEN_CP, rel=1e-12)
+        rep = constants_report(params)
+        assert rep.cp == pytest.approx(self.GOLDEN_CP, rel=1e-12)
         wy = params.alpha_y.exp_weighted_mass(1.0)
         *_, og3, ocp = oracle_constants(1e-7, 0.5, 4.0, 1, 1.0, 0.5, wy, wy, 1.0, 1.0)
-        assert g3 == pytest.approx(og3, rel=1e-10)
-        assert cp == pytest.approx(ocp, rel=1e-10)
+        assert rep.gamma3 == pytest.approx(og3, rel=1e-10)
+        assert rep.cp == pytest.approx(ocp, rel=1e-10)
 
     def test_symmetric_in_measure_swap(self):
         # the constant reads the two measures only through maxima, so
@@ -303,46 +294,39 @@ class TestAprioriConstant:
                                   alpha_y=a, alpha_z=b, beta=1.0, gamma=0.5)
         swapped = StructuralParams(lipschitz=1e-7, horizon=0.5, p=4.0, dim_y=1,
                                    alpha_y=b, alpha_z=a, beta=1.0, gamma=0.5)
-        assert apriori_constant(params) == apriori_constant(swapped)
+        pieces = ("gamma3", "cp1", "cp2", "cp3", "cp4", "cp")
+        rep, rep_swapped = constants_report(params), constants_report(swapped)
+        assert [getattr(rep, f) for f in pieces] == [getattr(rep_swapped, f) for f in pieces]
 
 
 class TestL2Existence:
     def test_reference_fixture(self):
-        lhs_y, lhs_z, feasible = l2_existence_check(params_for(0.1, p=2.0))
+        rep = constants_report(params_for(0.1, p=2.0))
         expected = 5.0 * 0.1 * np.exp(0.25)
-        assert lhs_y == pytest.approx(expected, abs=1e-3)
-        assert lhs_y == pytest.approx(0.642, abs=1e-3)
-        assert lhs_z == lhs_y
-        assert feasible
+        assert rep.l2_lhs_y == pytest.approx(expected, abs=1e-3)
+        assert rep.l2_lhs_y == pytest.approx(0.642, abs=1e-3)
+        assert rep.l2_lhs_z == rep.l2_lhs_y
+        assert rep.feasible_l2
 
     def test_zero_lipschitz_is_feasible(self):
-        lhs_y, lhs_z, feasible = l2_existence_check(params_for(0.0, p=2.0))
-        assert lhs_y == 0.0 and lhs_z == 0.0 and feasible
+        rep = constants_report(params_for(0.0, p=2.0))
+        assert rep.l2_lhs_y == 0.0 and rep.l2_lhs_z == 0.0 and rep.feasible_l2
 
     def test_large_lipschitz_infeasible(self):
-        params = params_for(1.0, T=1.0, p=2.0, delay=-0.5)
-        lhs_y, _, feasible = l2_existence_check(params)
-        assert lhs_y == pytest.approx(9.0 * np.exp(0.5), rel=1e-9)
-        assert not feasible
-
-    def test_beta_zero_rejected(self):
-        with pytest.raises(ValueError, match="beta"):
-            l2_existence_check(params_for(0.1, beta=0.0, p=2.0))
+        rep = constants_report(params_for(1.0, T=1.0, p=2.0, delay=-0.5))
+        assert rep.l2_lhs_y == pytest.approx(9.0 * np.exp(0.5), rel=1e-9)
+        assert not rep.feasible_l2
 
 
 class TestContraction:
     def test_zero_lipschitz_feasible(self):
-        lhs_y, lhs_z, feasible = lp_contraction_check(params_for(0.0))
-        assert lhs_y == 0.0 and feasible
+        rep = constants_report(params_for(0.0))
+        assert rep.lp_lhs_y == 0.0 and rep.feasible_contraction
 
     def test_golden_fixture_feasible(self):
-        lhs_y, lhs_z, feasible = lp_contraction_check(params_for(1e-7))
-        assert feasible
-        assert lhs_y == pytest.approx(0.2862236, rel=1e-5)
-
-    def test_large_lipschitz_errors_through_apriori(self):
-        with pytest.raises(ValueError, match="infeasible"):
-            lp_contraction_check(params_for(10.0, T=1.0))
+        rep = constants_report(params_for(1e-7))
+        assert rep.feasible_contraction
+        assert rep.lp_lhs_y == pytest.approx(0.2862236, rel=1e-5)
 
 
 class TestMonotonicityInL:
@@ -350,14 +334,13 @@ class TestMonotonicityInL:
         ks = np.linspace(0.0, 8e-6, 20)
         d1s, d2s, d3s, l2s, lps = [], [], [], [], []
         for k in ks:
-            params = params_for(float(k))
-            d1, d2, d3 = stability_constants(params)
-            d1s.append(d1)
-            d2s.append(d2)
-            d3s.append(d3)
-            l2s.append(max(l2_existence_check(params)[:2]))
-            if d3 > 0:
-                lps.append(max(lp_contraction_check(params)[:2]))
+            rep = constants_report(params_for(float(k)))
+            d1s.append(rep.d1)
+            d2s.append(rep.d2)
+            d3s.append(rep.d3)
+            l2s.append(max(rep.l2_lhs_y, rep.l2_lhs_z))
+            if rep.d3 > 0:
+                lps.append(max(rep.lp_lhs_y, rep.lp_lhs_z))
         assert all(np.diff(d1s) <= 1e-15)
         assert all(np.diff(d2s) <= 1e-15)
         assert all(np.diff(d3s) <= 1e-15)
@@ -490,11 +473,9 @@ class TestZeroLipschitzAtOverflowingBeta:
             warnings.simplefilter("error")
             rep = constants_report(params)
             best = search_feasible(params, [3000.0], [0.5])
-            l2 = l2_existence_check(params)
         assert rep.weighted_mass_bound == math.inf
         assert (rep.d1, rep.d2) == (2999.5, 1.0)
         assert rep.l2_lhs_y == rep.l2_lhs_z == 0.0
-        assert l2 == (0.0, 0.0, True)
         assert rep.feasible_l2 and rep.feasible_energy
         if p > 2:
             assert rep.d3 == 1.0
@@ -529,7 +510,7 @@ class TestBroadcastMatchesReference:
         refs = [[_evaluate(point) for point in row] for row in points]
         for field in fields(ConstantsReport):
             got = getattr(grid, field.name)
-            want = np.array([[getattr(ref[0], field.name) for ref in row]
+            want = np.array([[getattr(ref, field.name) for ref in row]
                              for row in refs])
             assert got.shape == want.shape == (len(self.BETAS), len(self.GAMMAS))
             if want.dtype == bool:
@@ -548,22 +529,6 @@ class TestBroadcastMatchesReference:
         if p > 2:
             assert (grid.d3 > 0).any() and np.isfinite(grid.d3[grid.d3 <= 0]).any()
             assert grid.feasible_contraction.any()
-            self._check_scalar_functions(points, refs)
-
-    @staticmethod
-    def _check_scalar_functions(points, refs):
-        """apriori_constant and lp_contraction_check still go through the evaluator."""
-        for point, (_, pieces, lp) in zip(sum(points, []), sum(refs, [])):
-            if pieces is None:
-                with pytest.raises(ValueError, match="infeasible"):
-                    apriori_constant(point)
-                with pytest.raises(ValueError, match="infeasible"):
-                    lp_contraction_check(point)
-                continue
-            assert apriori_constant(point) == pytest.approx(pieces, rel=1e-14, abs=0)
-            got = lp_contraction_check(point)
-            assert got[:2] == pytest.approx(lp[:2], rel=1e-14, abs=0)
-            assert got[2] is lp[2]
 
     @pytest.mark.parametrize("p", [2.0, 2.5, 3.0, 4.0])
     def test_grid_entries_equal_scalar_calls_exactly(self, p):

@@ -11,7 +11,6 @@ from delaybsde.forward import (
     bundle_from_increments,
     euler_paths,
     make_forward,
-    malliavin_forward,
     simulate_forward,
 )
 
@@ -261,7 +260,7 @@ class TestFlowHelpers:
 
     @pytest.mark.parametrize("coeffs, x0, lapack_calls", [
         (make_forward("gbm", {"mu": 0.1, "nu": 0.4}), [1.0], 0),
-        (coupled_2d(), [1.0, -0.5], 3),
+        (coupled_2d(), [1.0, -0.5], 2),
     ], ids=["d1", "d2"])
     def test_lapack_only_for_matrix_flows(self, monkeypatch, coeffs, x0, lapack_calls):
         calls = []
@@ -272,7 +271,6 @@ class TestFlowHelpers:
             monkeypatch.setattr(np.linalg, name, spy)
         bundle = simulate_forward(coeffs, x0, np.linspace(0.0, 1.0, 11), 20, seed=3)
         bundle.grad_x_inv
-        malliavin_forward(bundle, coeffs, 2, 5)
         assert len(calls) == lapack_calls
 
     def test_singular_matrix_flow_names_path_and_node(self, monkeypatch):
@@ -296,49 +294,3 @@ class TestFlowHelpers:
         with pytest.raises(ValueError, match=r"singular variational flow at path 0, node 1"):
             simulate_forward(coeffs, [1.0, 0.5], np.linspace(0.0, 1.0, 5), 3, seed=0)
         assert calls == [(3, 5, 2, 2)]
-
-
-class TestMalliavinForward:
-    @pytest.mark.parametrize("coeffs, x0", [
-        (make_forward("gbm", {"mu": 0.1, "nu": 0.4}), [1.0]),
-        (coupled_2d(), [1.0, -0.5]),
-    ])
-    def test_equals_whole_bundle_inverse_formula(self, coeffs, x0):
-        # the formula with the inverse of every flow matrix, then sliced at u
-        grid = np.linspace(0.0, 1.0, 11)
-        bundle = simulate_forward(coeffs, x0, grid, 40, seed=3)
-        inverse = np.linalg.inv(bundle.grad_x)
-        for u, t in [(0, 5), (3, 3), (2, 9), (4, 10)]:
-            expected = np.einsum("pjl,plk,pkm->pjm", bundle.grad_x[:, t], inverse[:, u],
-                                 coeffs.diffusion(grid[u], bundle.x[:, u]))
-            assert np.array_equal(malliavin_forward(bundle, coeffs, u, t), expected)
-
-    def test_identity_for_additive_noise(self):
-        coeffs = make_forward("brownian")
-        grid = np.linspace(0.0, 1.0, 11)
-        bundle = simulate_forward(coeffs, [0.0], grid, 20, seed=0)
-        for u, t in [(0, 5), (3, 3), (2, 9)]:
-            assert np.allclose(malliavin_forward(bundle, coeffs, u, t), np.eye(1))
-
-    def test_zero_above_diagonal(self):
-        coeffs = make_forward("brownian")
-        grid = np.linspace(0.0, 1.0, 11)
-        bundle = simulate_forward(coeffs, [0.0], grid, 20, seed=0)
-        assert np.allclose(malliavin_forward(bundle, coeffs, 7, 3), 0.0)
-
-    def test_equal_times_give_diffusion(self):
-        coeffs = make_forward("gbm", {"mu": 0.1, "nu": 0.4})
-        grid = np.linspace(0.0, 1.0, 11)
-        bundle = simulate_forward(coeffs, [1.0], grid, 30, seed=4)
-        t = 6
-        got = malliavin_forward(bundle, coeffs, t, t)
-        assert np.allclose(got, coeffs.diffusion(grid[t], bundle.x[:, t]), atol=1e-10)
-
-    def test_gbm_flow_algebra(self):
-        # for proportional noise the perturbation derivative is nu * X_t
-        coeffs = make_forward("gbm", {"mu": 0.1, "nu": 0.4})
-        grid = np.linspace(0.0, 1.0, 11)
-        bundle = simulate_forward(coeffs, [1.0], grid, 200, seed=4)
-        u, t = 3, 8
-        got = malliavin_forward(bundle, coeffs, u, t)[:, 0, 0]
-        assert np.allclose(got, 0.4 * bundle.x[:, t, 0], rtol=1e-6)

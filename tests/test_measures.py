@@ -5,13 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from delaybsde.measures import (
-    DelayMeasure,
-    GridPath,
-    _row_weights,
-    cell_weights,
-    delayed_convolution,
-)
+from delaybsde.measures import DelayMeasure, cell_weights
 
 
 def unit_atom(loc, T=1.0):
@@ -149,68 +143,38 @@ class TestCellWeights:
         assert weights.shape == (len(grid), len(grid) - 1)
         assert np.array_equal(weights, scalar_cell_weights(measure, grid))
 
-    def test_single_row_equals_matrix_row(self):
-        m = DelayMeasure(1.0, atoms=((-0.25, 0.4),), density_pieces=((-0.7, -0.3, 1.1),))
-        grid = np.linspace(0.0, 1.0, 33)
-        full = cell_weights(m, grid)
-        for i in (0, 9, 32):
-            assert np.array_equal(_row_weights(m, grid, i), full[i])
-
-
-class TestGridPath:
-    def test_left_constant_lookup(self):
-        grid = np.linspace(0.0, 1.0, 5)
-        path = GridPath(grid, np.arange(5.0))
-        assert path.value_at(0.3) == 1.0
-        assert path.value_at(0.25) == 1.0
-        assert path.value_at(-0.1) == 0.0
-
-    def test_off_grid_node_errors(self):
-        path = GridPath(np.linspace(0.0, 1.0, 5), np.ones(5))
-        with pytest.raises(ValueError, match="off-grid"):
-            path.node_index(0.3)
-
-    def test_grid_must_start_at_zero(self):
-        with pytest.raises(ValueError):
-            GridPath(np.array([0.1, 0.5, 1.0]), np.ones(3))
-
 
 class TestDelayedConvolution:
+    """Rows of cell_weights against node values: row i is the convolution at t_i."""
+
     def test_zero_extension(self):
         m = unit_atom(-0.25)
         grid = np.linspace(0.0, 1.0, 21)
-        path = GridPath(grid, np.ones(21))
-        assert delayed_convolution(m, path, 0.1) == 0.0
+        assert cell_weights(m, grid)[2] @ np.ones(20) == 0.0  # t = 0.1
 
     def test_unit_path_after_lag(self):
         m = unit_atom(-0.25)
         grid = np.linspace(0.0, 1.0, 21)
-        path = GridPath(grid, np.ones(21))
-        assert delayed_convolution(m, path, 0.3) == pytest.approx(1.0)
+        assert cell_weights(m, grid)[6] @ np.ones(20) == pytest.approx(1.0)  # t = 0.3
 
     def test_power_two_at_lagged_value(self):
         m = unit_atom(-0.25)
         grid = np.linspace(0.0, 1.0, 5)
-        path = GridPath(grid, grid.copy())
-        assert delayed_convolution(m, path, 0.5, power=2) == pytest.approx(0.0625)
+        assert cell_weights(m, grid)[2] @ grid[:4] ** 2 == pytest.approx(0.0625)  # t = 0.5
 
     def test_linear_in_path_for_power_one(self):
         m = DelayMeasure(1.0, atoms=((-0.25, 0.4),), density_pieces=((-0.7, -0.3, 1.1),))
-        grid = np.linspace(0.0, 1.0, 33)
+        row = cell_weights(m, np.linspace(0.0, 1.0, 33))[16]  # t = 0.5
         rng = np.random.default_rng(0)
-        a = rng.normal(size=33)
-        b = rng.normal(size=33)
-        lhs = delayed_convolution(m, GridPath(grid, 2.0 * a + 3.0 * b), 0.5)
-        rhs = 2.0 * delayed_convolution(m, GridPath(grid, a), 0.5) + 3.0 * delayed_convolution(
-            m, GridPath(grid, b), 0.5
-        )
-        assert lhs == pytest.approx(rhs, rel=1e-12)
+        a = rng.normal(size=32)
+        b = rng.normal(size=32)
+        assert row @ (2.0 * a + 3.0 * b) == pytest.approx(2.0 * (row @ a) + 3.0 * (row @ b),
+                                                          rel=1e-12)
 
     def test_density_mass_times_constant(self):
         m = DelayMeasure(1.0, density_pieces=((-0.5, 0.0, 1.0),))
         grid = np.linspace(0.0, 1.0, 21)
-        path = GridPath(grid, np.full(21, 3.0))
-        assert delayed_convolution(m, path, 0.6) == pytest.approx(1.5)
+        assert cell_weights(m, grid)[12] @ np.full(20, 3.0) == pytest.approx(1.5)  # t = 0.6
 
     def test_sub_step_atom_warns(self):
         m = unit_atom(-0.01)
@@ -228,10 +192,10 @@ class TestInterchangeIdentity:
         for _ in range(5):
             lags = rng.choice(np.arange(1, 64), size=3, replace=False)
             m = DelayMeasure(1.0, atoms=tuple((-grid[j], rng.uniform(0.1, 2.0)) for j in lags))
-            path = GridPath(grid, rng.normal(size=65))
+            values = rng.normal(size=65)
             for t_idx in (0, 8, 32):
                 for k in (1, 2):
-                    lhs, rhs = riemann_sides(m, path, t_idx, k)
+                    lhs, rhs = riemann_sides(m, grid, values, t_idx, k)
                     if abs(lhs) > 1e-12:
                         assert abs(lhs - rhs) <= 1e-10 * abs(lhs)
 
@@ -243,8 +207,7 @@ class TestInterchangeIdentity:
         errs = []
         for n in (40, 80, 160):
             grid = np.linspace(0.0, 1.0, n + 1)
-            path = GridPath(grid, rng.normal(size=n + 1))
-            lhs, rhs = riemann_sides(m, path, 0, 2)
+            lhs, rhs = riemann_sides(m, grid, rng.normal(size=n + 1), 0, 2)
             errs.append(abs(lhs - rhs) / abs(lhs))
         assert errs[-1] < 0.05
         assert errs[-1] < errs[0]
@@ -260,10 +223,10 @@ class TestInterchangeIdentity:
             m = DelayMeasure(
                 1.0, density_pieces=((grid[j1] - 1.0, grid[j2] - 1.0, rng.uniform(0.2, 2.0)),)
             )
-            path = GridPath(grid, rng.normal(size=n + 1))
+            values = rng.normal(size=n + 1)
             for t_idx in (0, 16, 80):
                 for k in (1, 2):
-                    lhs, rhs = exact_sides(m, path, t_idx, k)
+                    lhs, rhs = exact_sides(m, grid, values, t_idx, k)
                     if abs(lhs) > 1e-12:
                         assert abs(lhs - rhs) <= 1e-6 * abs(lhs)
 

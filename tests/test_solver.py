@@ -6,7 +6,7 @@ import pytest
 from delaybsde import forward as forward_module
 from delaybsde.forward import SdeCoefficients, make_forward, simulate_forward
 from delaybsde.generators import make_driver, make_terminal
-from delaybsde.measures import DelayMeasure, _row_weights, cell_weights
+from delaybsde.measures import DelayMeasure, cell_weights
 from delaybsde.regression import BasisSpec, DesignSolver
 from delaybsde import solver as solver_module
 from delaybsde.solver import (
@@ -142,7 +142,7 @@ class TestNodeConvolution:
         full = theta(prob, fwd, sol)
         for i in (0, 5, 16):
             for m, v, conv in zip((prob.alpha_x, alpha_y, alpha_z), (fwd.x, sol.y, sol.z), full):
-                weights = _row_weights(m, fwd.grid, i)
+                weights = cell_weights(m, fwd.grid)[i]
                 row = np.tensordot(weights, v[:, : len(weights)], axes=(0, 1))
                 assert np.allclose(row, conv[:, i], rtol=0.0, atol=1e-13)
 
@@ -157,11 +157,20 @@ class TestPicardSolve:
         assert z_mean.min() > 0.9 and z_mean.max() < 1.1
 
     def test_terminal_consistency_every_sweep(self):
+        # the sweeps write every node below N into unzeroed buffers; node N
+        # holds the terminal values and an exactly zero control, in the base
+        # and in the derivative solve
         prob = problem(make_driver("linear_zdel", {"coeff": 0.1}),
                        make_terminal("identity"), alpha_z=lag_atom())
         fwd, sol = solve(prob, n_steps=8, n_paths=500, sweeps=3, tol=1e-12)
         assert np.array_equal(sol.y[:, -1], prob.terminal.value(fwd.x[:, -1]))
         assert not sol.z[:, -1].any()
+        var = variational_solve(prob, fwd, sol, [1.0], BasisSpec(), 3, 1e-12)
+        assert sol.sweeps == var.sweeps == 3
+        expected = np.einsum("pmd,pdk,k->pm", prob.terminal.grad(fwd.x[:, -1]),
+                             fwd.grad_x[:, -1], np.array([1.0]))
+        assert np.array_equal(var.p[:, -1], expected)
+        assert not var.q[:, -1].any()
 
     def test_delayed_control_fixture(self):
         prob = problem(
