@@ -343,6 +343,16 @@ class TestCliCommands:
                     "(last update ") in printed
         assert printed.count(">= tol 0.001") == len(solves)
 
+    @pytest.mark.parametrize("command, cfg", [
+        ("study-picard", base_config()),
+        ("study-yinc", base_config()),
+        ("study-l2reg", l2reg_config(meshes=[2, 4, 8])),
+    ])
+    def test_converged_solves_of_a_study_are_not_named(self, tmp_path, capsys, command, cfg):
+        out = tmp_path / "out"
+        assert main([command, "--config", write_config(tmp_path, cfg), "--out", str(out)]) == 0
+        assert "stopped" not in capsys.readouterr().out
+
     def test_fd_check_near_pair_has_no_richardson_error(self, tmp_path):
         # 0.2000000000005 is not the exact double of 0.1, so no step pairs
         cfg = base_config(generator={"preset": "zero", "lipschitz": 0.0}, delays={},

@@ -270,6 +270,15 @@ class TestStabilityConstants:
 class TestAprioriConstant:
     GOLDEN_CP = 34720683304230.453  # frozen from the cross-checked evaluation
 
+    def test_infeasible_point_reports_nan(self):
+        # d1, d2 > 0 but d3 < 0: no energy estimate, so no a priori constant
+        rep = constants_report(params_for(0.01))
+        assert rep.d1 > 0 and rep.d2 > 0 and rep.d3 < 0
+        pieces = (rep.gamma3, rep.cp1, rep.cp2, rep.cp3, rep.cp4, rep.cp)
+        assert all(math.isnan(c) for c in pieces)
+        assert not rep.feasible_energy and not rep.feasible_contraction
+        assert rep.margin == rep.d3
+
     def test_zero_lipschitz_gamma3_limit(self):
         p = 4.0
         g3 = constants_report(params_for(0.0, p=p)).gamma3
@@ -312,6 +321,13 @@ class TestL2Existence:
         rep = constants_report(params_for(0.0, p=2.0))
         assert rep.l2_lhs_y == 0.0 and rep.l2_lhs_z == 0.0 and rep.feasible_l2
 
+    def test_beta_zero_reports_nan(self):
+        # the condition divides by beta: at beta = 0 it is not evaluated
+        rep = constants_report(params_for(0.1, beta=0.0, p=2.0))
+        assert math.isnan(rep.l2_lhs_y) and math.isnan(rep.l2_lhs_z)
+        assert not rep.feasible_l2
+        assert rep.margin == -math.inf
+
     def test_large_lipschitz_infeasible(self):
         rep = constants_report(params_for(1.0, T=1.0, p=2.0, delay=-0.5))
         assert rep.l2_lhs_y == pytest.approx(9.0 * np.exp(0.5), rel=1e-9)
@@ -327,6 +343,13 @@ class TestContraction:
         rep = constants_report(params_for(1e-7))
         assert rep.feasible_contraction
         assert rep.lp_lhs_y == pytest.approx(0.2862236, rel=1e-5)
+
+    def test_large_lipschitz_reports_nan(self):
+        # d1, d2 < 0: the condition needs C_p, which is not shown there
+        rep = constants_report(params_for(10.0, T=1.0))
+        assert rep.d1 < 0 and rep.d2 < 0 and rep.d3 == -math.inf
+        assert math.isnan(rep.lp_lhs_y) and math.isnan(rep.lp_lhs_z)
+        assert not rep.feasible_contraction
 
 
 class TestMonotonicityInL:

@@ -294,3 +294,46 @@ class TestFlowHelpers:
         with pytest.raises(ValueError, match=r"singular variational flow at path 0, node 1"):
             simulate_forward(coeffs, [1.0, 0.5], np.linspace(0.0, 1.0, 5), 3, seed=0)
         assert calls == [(3, 5, 2, 2)]
+
+
+def malliavin(bundle, coeffs, u, t):
+    """D_u X_t = 1{u <= t} grad X_t (grad X_u)^-1 sigma(u, X_u), from the bundle's flow."""
+    if u > t:
+        return np.zeros_like(bundle.grad_x[:, t])
+    sig = coeffs.diffusion(bundle.grid[u], bundle.x[:, u])
+    return np.einsum("pjl,plk,pkm->pjm", bundle.grad_x[:, t], bundle.grad_x_inv[:, u], sig)
+
+
+class TestMalliavinForward:
+    """The flow and its inverse as the representation formula reads them."""
+
+    def test_identity_for_additive_noise(self):
+        coeffs = make_forward("brownian")
+        grid = np.linspace(0.0, 1.0, 11)
+        bundle = simulate_forward(coeffs, [0.0], grid, 20, seed=0)
+        for u, t in [(0, 5), (3, 3), (2, 9)]:
+            assert np.allclose(malliavin(bundle, coeffs, u, t), np.eye(1))
+
+    def test_zero_above_diagonal(self):
+        coeffs = make_forward("brownian")
+        grid = np.linspace(0.0, 1.0, 11)
+        bundle = simulate_forward(coeffs, [0.0], grid, 20, seed=0)
+        assert np.allclose(malliavin(bundle, coeffs, 7, 3), 0.0)
+
+    def test_equal_times_give_diffusion(self):
+        grid = np.linspace(0.0, 1.0, 11)
+        t = 6
+        for coeffs, x0 in [(make_forward("gbm", {"mu": 0.1, "nu": 0.4}), [1.0]),
+                           (coupled_2d(), [1.0, -0.5])]:
+            bundle = simulate_forward(coeffs, x0, grid, 30, seed=4)
+            got = malliavin(bundle, coeffs, t, t)
+            assert np.allclose(got, coeffs.diffusion(grid[t], bundle.x[:, t]), atol=1e-10)
+
+    def test_gbm_flow_algebra(self):
+        # for proportional noise the perturbation derivative is nu * X_t
+        coeffs = make_forward("gbm", {"mu": 0.1, "nu": 0.4})
+        grid = np.linspace(0.0, 1.0, 11)
+        bundle = simulate_forward(coeffs, [1.0], grid, 200, seed=4)
+        u, t = 3, 8
+        got = malliavin(bundle, coeffs, u, t)[:, 0, 0]
+        assert np.allclose(got, 0.4 * bundle.x[:, t, 0], rtol=1e-6)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from delaybsde.measures import DelayMeasure, cell_weights
+from delaybsde.measures import DelayMeasure, _cell_masses, cell_weights
 
 
 def unit_atom(loc, T=1.0):
@@ -142,6 +142,15 @@ class TestCellWeights:
             weights = cell_weights(measure, grid)
         assert weights.shape == (len(grid), len(grid) - 1)
         assert np.array_equal(weights, scalar_cell_weights(measure, grid))
+
+    def test_single_row_equals_matrix_row(self):
+        # a row reads only its own node: the cell masses at one t_i give row i
+        m = DelayMeasure(1.0, atoms=((-0.25, 0.4),), density_pieces=((-0.7, -0.3, 1.1),))
+        grid = np.linspace(0.0, 1.0, 33)
+        full = cell_weights(m, grid)
+        for i in (0, 9, 32):
+            row = _cell_masses(m, grid[:-1] - grid[i], grid[1:] - grid[i])
+            assert np.array_equal(row, full[i])
 
 
 class TestDelayedConvolution:

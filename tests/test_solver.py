@@ -692,6 +692,20 @@ class TestFdCheck:
         assert rep.errors[2] == pytest.approx(0.5 * rep.errors[1], rel=1e-3)
         assert rep.richardson_error < rep.noise_floor + 3 * rep.noise_floor_se
 
+    @pytest.mark.parametrize("epsilons, paired", [
+        ([0.3, 0.5, 0.25], True),  # 0.25 pairs with its exact double, in any order
+        ([0.1, 0.2000000000005], False),  # near, but not exact, doubling
+    ])
+    def test_richardson_pairs_exact_doubles_only(self, epsilons, paired):
+        prob = problem(make_driver("zero"), make_terminal("quadratic"), x0=1.0)
+        rep = fd_directional_check(prob, [1.0], epsilons, 1000, 10, seed=5)
+        if paired:
+            assert rep.richardson_error < min(rep.errors)
+            assert rep.richardson_error < rep.noise_floor + 3 * rep.noise_floor_se
+        else:
+            assert np.isnan(rep.richardson_error)
+            assert np.isfinite(rep.errors).all()
+
     def test_deterministic_delay_fixture_matches_derivative(self):
         prob = problem(
             make_driver("linear_ydel", {"coeff": 0.1, "lipschitz": 0.1}),
