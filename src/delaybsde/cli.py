@@ -5,10 +5,10 @@ Commands
                       (beta, gamma) grid
     solve             run the Picard solver, emit per-node summary and sweep
                       diagnostics
-    variational       directional state-derivative solve
+    variational       state Jacobian solve of (Y, Z) in the initial state
     compare-z         node-wise relative distance between the regression
                       control and the flow-formula control
-    fd-check          difference quotients of Y against the directional solve
+    fd-check          difference quotients of Y against the Jacobian solve
     study-picard      sweep-diagnostic contraction study
     study-yinc        increment-moment rate study
     study-l2reg       control mean-square regularity rate study
@@ -76,7 +76,7 @@ def write_manifest(out_dir, cfg, args, command):
         "seed": args.seed if args.seed is not None else cfg.get("seed", 0),
         "overrides": {
             k: getattr(args, k)
-            for k in ("paths", "steps", "picard", "tol")
+            for k in ("paths", "steps", "picard", "tol", "beta_grid", "gamma_grid", "meshes")
             if getattr(args, k, None) is not None
         },
         "versions": {"delaybsde": __version__, "numpy": np.__version__},
@@ -200,39 +200,31 @@ def _stopped(bundle):
 
 
 def _unconverged(solves):
-    """Stdout suffix naming each (label, bundle) solve cut off at its sweep limit."""
-    return "".join(f"; {label} {_stopped(bundle)}" for label, bundle in solves
-                   if not bundle.converged)
+    """Stdout suffix naming each solve status cut off at its sweep limit."""
+    return "".join(f"; {status.label} {_stopped(status)}" for status in solves
+                   if not status.converged)
 
 
-def _directions(variationals):
-    return [(f"direction {axis}", var) for axis, var in enumerate(variationals)]
-
-
-def _variationals(problem, settings, forward, solution):
-    """One derivative solve per coordinate direction of the initial state."""
-    return [
-        variational_solve(problem, forward, solution, h,
-                          settings["basis"], settings["picard"], settings["tol"])
-        for h in np.eye(problem.dim_x)
-    ]
+def _jacobian(problem, settings, forward, solution):
+    """The derivative solve of the base solution, and the statuses of both."""
+    var = variational_solve(problem, forward, solution,
+                            settings["basis"], settings["picard"], settings["tol"])
+    return var, [solution.status("base solve"), var.status("derivative solve")]
 
 
 def cmd_variational(args, cfg):
     problem, settings, forward, solution = _solve_from_config(cfg, args)
-    variationals = _variationals(problem, settings, forward, solution)
+    var, solves = _jacobian(problem, settings, forward, solution)
     rows = []
-    for var in variationals:
+    for axis in range(problem.dim_x):
         for i, t in enumerate(forward.grid):
-            p_i = var.p[:, i]
-            q_i = var.q[:, i].reshape(len(p_i), -1)
-            rows.append([float(t), int(np.argmax(var.direction)),
-                         float(np.mean(p_i)), float(np.std(p_i)),
+            p_i = var.p[:, i, :, axis]
+            q_i = var.q[:, i, :, axis].reshape(len(p_i), -1)
+            rows.append([float(t), axis, float(np.mean(p_i)), float(np.std(p_i)),
                          float(np.mean(q_i)), float(np.std(q_i))])
     header = ["t", "direction", "mean_dy", "sd_dy", "mean_dz", "sd_dz"]
     return ({"variational.csv": (header, rows)}, {},
-            f"derivative sweeps per direction: {[var.sweeps for var in variationals]}"
-            f"{_unconverged(_directions(variationals))}")
+            f"derivative sweeps: {var.sweeps}{_unconverged(solves)}")
 
 
 def cmd_compare_z(args, cfg):
@@ -240,8 +232,8 @@ def cmd_compare_z(args, cfg):
     if steps < 2:
         raise ConfigError(f"compare-z needs at least 2 steps for an interior node, got {steps}")
     problem, settings, forward, solution = _solve_from_config(cfg, args)
-    variationals = _variationals(problem, settings, forward, solution)
-    z_rep = representation_z(forward, variationals, problem.forward)
+    var, solves = _jacobian(problem, settings, forward, solution)
+    z_rep = representation_z(forward, var, problem.forward)
     rows = []
     for i, t in enumerate(forward.grid):
         diff = solution.z[:, i] - z_rep[:, i]
@@ -251,8 +243,7 @@ def cmd_compare_z(args, cfg):
         rows.append([float(t), num, den, rel])
     interior = [row[3] for row in rows[1:-1]]
     return ({"compare_z.csv": (["t", "abs_distance", "ref_norm", "rel_distance"], rows)}, {},
-            f"max interior relative distance: {max(interior):.4g}"
-            f"{_unconverged([('base solve', solution), *_directions(variationals)])}")
+            f"max interior relative distance: {max(interior):.4g}{_unconverged(solves)}")
 
 
 def cmd_fd_check(args, cfg):
@@ -271,7 +262,8 @@ def cmd_fd_check(args, cfg):
     verdict = {"noise_floor": report.noise_floor, "noise_floor_se": report.noise_floor_se,
                "richardson_error": report.richardson_error}
     return ({"fd_check.csv": (["epsilon", "error", "block_se"], rows)}, verdict,
-            f"fd errors: {report.errors}; noise floor {report.noise_floor:.4g}")
+            f"fd errors: {report.errors}; noise floor {report.noise_floor:.4g}"
+            f"{_unconverged(report.solves)}")
 
 
 def cmd_study_picard(args, cfg):
@@ -287,7 +279,7 @@ def cmd_study_picard(args, cfg):
                "feasible_l2": bool(feas.get("l2", False))}
     return ({"picard.csv": (["sweep", "diff_y", "diff_z", "ratio"], rows)}, verdict,
             f"sweep diffs: {diffs}; contracting after sweep 2: {contracting}"
-            f"{_unconverged([('base solve', solution)])}")
+            f"{_unconverged([solution.status('base solve')])}")
 
 
 def _separations(cfg, args):
@@ -315,7 +307,7 @@ def _separations(cfg, args):
 def _rate_outputs(name, header, report, what, solves):
     """Table, verdict and line of a rate study: fitted slope against the paper's target.
 
-    The line names each of the (label, bundle) solves that did not converge.
+    The line names each of the solve statuses that did not converge.
     """
     verdict = {"target_slope": report.target_slope, "fitted_slope": report.slope,
                "pass": report.passed}
@@ -332,7 +324,7 @@ def cmd_study_yinc(args, cfg):
     tol = float(study.get("slope_tol", 0.15 if p == 2 else 0.3))
     report = y_increment_rate(solution, p, seps, tol)
     return _rate_outputs("yinc.csv", ["separation", "moment"], report, "increment moment",
-                         [("base solve", solution)])
+                         [solution.status("base solve")])
 
 
 def _meshes(cfg, args):
@@ -360,11 +352,11 @@ def cmd_study_l2reg(args, cfg):
     tol_slope = float(cfg.get("study", {}).get("slope_tol", 0.3))
     problem, settings, forward, solution = _solve_from_config(cfg, args, ref_steps,
                                                               state_fit=True)
-    variationals = _variationals(problem, settings, forward, solution)
-    z_ref = representation_z(forward, variationals, problem.forward)
+    var, solves = _jacobian(problem, settings, forward, solution)
+    z_ref = representation_z(forward, var, problem.forward)
     report = l2_regularity(forward, z_ref, meshes, settings["basis"], tol_slope)
     return _rate_outputs("l2reg.csv", ["mesh_size", "functional"], report, "regularity",
-                         [("base solve", solution), *_directions(variationals)])
+                         solves)
 
 
 def cmd_study_apriori(args, cfg):
@@ -386,7 +378,8 @@ def cmd_study_apriori(args, cfg):
     header = ["epsilon", "s_norm", "h_norm_y", "h_norm_z", "rhs_terminal", "rhs_driver", "ratio"]
     spread = (max(report.ratios) - min(report.ratios)) / min(report.ratios)
     return ({"apriori.csv": (header, rows)}, {"ratio_spread": float(spread)},
-            f"stability ratios: {report.ratios}; spread {spread:.3g}")
+            f"stability ratios: {report.ratios}; spread {spread:.3g}"
+            f"{_unconverged(report.solves)}")
 
 
 _COMMANDS = {

@@ -64,7 +64,10 @@ class RateReport:
 
 @dataclass(frozen=True)
 class PerturbationReport:
-    """Measured perturbation norms and stability ratios per scale."""
+    """Measured perturbation norms and stability ratios per scale.
+
+    solves holds the SolveStatus of the base solve and of each shifted solve.
+    """
 
     epsilons: tuple
     s_norms: tuple
@@ -73,6 +76,7 @@ class PerturbationReport:
     rhs_terminal: tuple
     rhs_driver: tuple
     ratios: tuple
+    solves: tuple
 
 
 def fit_loglog_slope(sizes, values):
@@ -262,6 +266,7 @@ def apriori_scaling(problem, forward, epsilons, terminal_shift=1.0, driver_shift
     """
     basis = basis or STATE_BASIS
     base = picard_solve(problem, forward, basis, max_sweeps, tol)
+    solves = [base.status("base solve")]
     beta = problem.beta
     grid = forward.grid
     dt = np.diff(grid)
@@ -273,6 +278,7 @@ def apriori_scaling(problem, forward, epsilons, terminal_shift=1.0, driver_shift
             driver=_shift_driver(problem.driver, eps * driver_shift),
         )
         sol = picard_solve(shifted, forward, basis, max_sweeps, tol)
+        solves.append(sol.status(f"shifted solve at eps {eps}"))
         dy = sol.y - base.y
         dz = sol.z - base.z
         s_n, h_n_y, h_n_z = _weighted_norms(grid, beta, dy, dz, p)
@@ -297,6 +303,7 @@ def apriori_scaling(problem, forward, epsilons, terminal_shift=1.0, driver_shift
         rhs_terminal=tuple(rhs_t),
         rhs_driver=tuple(rhs_f),
         ratios=tuple(ratios),
+        solves=tuple(solves),
     )
 
 

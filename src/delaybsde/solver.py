@@ -20,10 +20,12 @@ m([t_j - t_i, t_{j+1} - t_i)), so that the node sum approximates the integral
 of the path against the measure translated to current time, with nodes before
 time 0 contributing zero.
 
-The same sweep engine solves the linear backward equation satisfied by the
-state-derivative pair (first-variation of Y and Z), whose coefficients are
-the driver gradients frozen along the base solution.  Combining it with the
-forward flow yields the control process through
+The same sweep engine solves, once, the linear backward equation satisfied
+by the state Jacobian (grad_Y, grad_Z) of the solution in the initial state.
+Its coefficients are the driver gradients frozen along the base solution,
+and its regressions read the base solution's features, so each of its sweeps
+is one fixed affine map (the fixed-basis scheme of Bender and Denk, 2007).
+Combining it with the forward flow yields the control process through
 Z_t = grad_Y_t (grad_X_t)^{-1} sigma(t, X_t).
 """
 
@@ -43,6 +45,7 @@ __all__ = [
     "DelayFbsdeProblem",
     "SolutionBundle",
     "VariationalBundle",
+    "SolveStatus",
     "FdReport",
     "picard_solve",
     "regression_basis",
@@ -91,8 +94,31 @@ class DelayFbsdeProblem:
         )
 
 
+class _Converged:
+    """Convergence rule of a solve, read from its sweeps, last update and tol."""
+
+    @property
+    def converged(self):
+        """True when the last update fell below tol, False when cut off at max_sweeps."""
+        return self.last_update < self.tol
+
+    def status(self, label):
+        """The named solve's sweeps, last update and tol, without its arrays."""
+        return SolveStatus(label, self.sweeps, self.last_update, self.tol)
+
+
 @dataclass(frozen=True)
-class SolutionBundle:
+class SolveStatus(_Converged):
+    """Label, sweeps, last update and tol of one solve."""
+
+    label: str
+    sweeps: int
+    last_update: float
+    tol: float
+
+
+@dataclass(frozen=True)
+class SolutionBundle(_Converged):
     """Converged (or truncated) Picard output plus per-sweep diagnostics.
 
     y: (M, N+1, m); z: (M, N+1, m, d).  y at the last node equals the terminal
@@ -113,20 +139,16 @@ class SolutionBundle:
     def last_update(self):
         return _last_update(self.diffs_y, self.diffs_z)
 
-    @property
-    def converged(self):
-        """True when the last update fell below tol, False when cut off at max_sweeps."""
-        return self.last_update < self.tol
-
 
 @dataclass(frozen=True)
-class VariationalBundle:
-    """Directional state-derivative of the solution along direction h.
+class VariationalBundle(_Converged):
+    """State Jacobian of the solution in the initial state.
 
-    converged follows the rule of SolutionBundle on diffs_p and diffs_q.
+    p: (M, N+1, m, d), the Jacobian grad_Y; q: (M, N+1, m, d, d), grad_Z
+    with the state direction before the control axis.  converged follows the
+    rule of SolutionBundle on diffs_p and diffs_q.
     """
 
-    direction: np.ndarray
     p: np.ndarray
     q: np.ndarray
     diffs_p: tuple
@@ -137,11 +159,6 @@ class VariationalBundle:
     @property
     def last_update(self):
         return _last_update(self.diffs_p, self.diffs_q)
-
-    @property
-    def converged(self):
-        """True when the last update fell below tol, False when cut off at max_sweeps."""
-        return self.last_update < self.tol
 
 
 def _last_update(*diffs):
@@ -241,15 +258,15 @@ def _solve_setup(problem, forward, basis):
 
 
 def _suffix_sums(terminal_vals, f_all, dt):
-    """Tail sums g + sum_{j>=i} f_j dt_j per node and path, node-major (N+1, M, m).
+    """Tail sums g + sum_{j>=i} f_j dt_j per node and path, node-major (N+1, M, ...).
 
-    f_all: node-major driver values (N+1, M, m).  Accumulates backward from
+    f_all: node-major driver values (N+1, M, ...).  Accumulates backward from
     the terminal node, adding in the same order as a node-by-node loop.
     """
     n = len(dt)
     suffix = np.empty((n + 1, *terminal_vals.shape))
     suffix[n] = terminal_vals
-    np.multiply(f_all[:n], dt[:, None, None], out=suffix[:n])
+    np.multiply(f_all[:n], dt.reshape(n, *[1] * terminal_vals.ndim), out=suffix[:n])
     for i in range(n - 1, -1, -1):
         suffix[i] += suffix[i + 1]
     return suffix
@@ -275,17 +292,19 @@ def _max_rms(squares):
     return float(np.max(np.sqrt(np.mean(np.ascontiguousarray(squares.T), axis=0))))
 
 
-def _run_sweeps(forward, terminal_vals, wy, wz, driver_all, xdel_all, basis_plan, basis,
+def _run_sweeps(forward, terminal_vals, wy, wz, driver_all, frozen, basis_plan, basis,
                 max_sweeps, tol):
-    """Shared Picard engine for the base and the variational solves.
+    """Shared Picard engine for the base and the derivative solves.
 
-    wy, wz: cell weights of the delayed value and control convolutions;
-    driver_all(ydel_all, zdel_all) -> node-major driver values (N+1, M, m)
-    from node-major convolutions, of which node N is never read;
-    xdel_all: node-major delayed state; basis_plan: the feature plan of
-    _feature_plan, the stacks of sweep 1 and of the later sweeps as
-    (lo, hi, live features), read at nodes lo..hi-1 from the state, xdel_all
-    and the current sweep's convolutions.  The iterate is node-major, and each
+    terminal_vals: (M, ...) of any value shape; the control adds the control
+    axis.  wy, wz: cell weights of the delayed value and control
+    convolutions; driver_all(ydel_all, zdel_all) -> node-major driver values
+    (N+1, M, ...) from node-major convolutions of the iterate, of which node
+    N is never read.  frozen: node-major features read as they are in every
+    sweep (xdel; also ydel and zdel in the derivative solve), the others
+    being the iterate's convolutions.  basis_plan: the stacks of
+    _feature_plan per sweep, the last one repeated, as (lo, hi, live
+    features) read at nodes lo..hi-1.  The iterate is node-major, and each
     sweep walks its stacks backward from the terminal node with one stacked
     fit per stack, on the stack's live features only.  Sweeps stop once the
     max-node RMS update of both components drops below tol.  Returns
@@ -295,23 +314,26 @@ def _run_sweeps(forward, terminal_vals, wy, wz, driver_all, xdel_all, basis_plan
     x_nodes, dw_nodes = _path_major(forward.x), _path_major(forward.dw)
     n = len(grid) - 1
     dt = np.diff(grid)
-    m_paths, dim_y = terminal_vals.shape
+    m_paths, *shape = terminal_vals.shape
     dim_ctrl = dw_nodes.shape[2]
-    y = np.zeros((n + 1, m_paths, dim_y))
-    z = np.zeros((n + 1, m_paths, dim_y, dim_ctrl))
+    # dt and dW broadcast over the value axes
+    steps = dt.reshape(n, *[1] * terminal_vals.ndim)
+    dw_steps = dw_nodes.reshape(n, m_paths, *[1] * len(shape), dim_ctrl)
+    y = np.zeros((n + 1, *terminal_vals.shape))
+    z = np.zeros((*y.shape, dim_ctrl))
     diffs_y, diffs_z = [], []
     sweeps = 0
     for _ in range(max_sweeps):
         ydel_all, zdel_all = _convolve_nodes(wy, y), _convolve_nodes(wz, z)
         f_all = driver_all(ydel_all, zdel_all)
-        named = {"x": x_nodes, "xdel": xdel_all, "ydel": ydel_all, "zdel": zdel_all}
+        named = {"x": x_nodes, "ydel": ydel_all, "zdel": zdel_all, **frozen}
         suffix = _suffix_sums(terminal_vals, f_all, dt)
         # The stacks write every node below N.
         y_new = np.empty_like(y)
         z_new = np.empty_like(z)
         y_new[n] = terminal_vals
         z_new[n] = 0.0
-        for lo, hi, names in basis_plan[min(sweeps, 1)]:
+        for lo, hi, names in basis_plan[min(sweeps, len(basis_plan) - 1)]:
             feats = np.concatenate(
                 [named[name][lo:hi].reshape(hi - lo, m_paths, -1) for name in names],
                 axis=-1,
@@ -330,12 +352,13 @@ def _run_sweeps(forward, terminal_vals, wy, wz, driver_all, xdel_all, basis_plan
                             f"regression failed at node {i}, sweep {sweeps + 1}: {exc}"
                         ) from exc
                 raise
-            y_new[lo:hi] = solver.fitted(solver.solve(suffix[lo:hi]))
-            step = dt[lo:hi, None, None]
+            coeff_y = solver.solve(suffix[lo:hi].reshape(hi - lo, m_paths, -1))
+            y_new[lo:hi] = solver.fitted(coeff_y).reshape(y_new[lo:hi].shape)
+            step = steps[lo:hi]
             innovation = y_new[lo + 1 : hi + 1] - y_new[lo:hi] + f_all[lo:hi] * step
-            ctrl_target = innovation[..., None] * dw_nodes[lo:hi, :, None, :] / step[..., None]
+            ctrl_target = innovation[..., None] * dw_steps[lo:hi] / step[..., None]
             coeff_z = solver.solve(ctrl_target.reshape(hi - lo, m_paths, -1))
-            z_new[lo:hi] = solver.fitted(coeff_z).reshape(hi - lo, m_paths, dim_y, dim_ctrl)
+            z_new[lo:hi] = solver.fitted(coeff_z).reshape(z_new[lo:hi].shape)
         # The old iterate is not read again: its buffers take the updates.
         with np.errstate(over="ignore", invalid="ignore"):
             diff_y = _max_rms(_node_squares(np.subtract(y_new, y, out=y)))
@@ -371,7 +394,8 @@ def picard_solve(problem, forward, basis=None, max_sweeps=8, tol=1e-3):
         return problem.driver.value(grid[:, None], xdel_all, ydel_all, zdel_all)
 
     y, z, diffs_y, diffs_z, sweeps = _run_sweeps(
-        forward, terminal_vals, wy, wz, driver_all, xdel_all, plan, basis, max_sweeps, tol,
+        forward, terminal_vals, wy, wz, driver_all, {"xdel": xdel_all}, plan, basis,
+        max_sweeps, tol,
     )
     report = constants_report(problem.structural_params())
     feasibility = {
@@ -386,63 +410,56 @@ def picard_solve(problem, forward, basis=None, max_sweeps=8, tol=1e-3):
     )
 
 
-def variational_solve(problem, forward, base, h, basis=None, max_sweeps=8, tol=1e-3):
-    """Directional derivative of (Y, Z) in the initial state, direction h.
+def variational_solve(problem, forward, base, basis=None, max_sweeps=8, tol=1e-3):
+    """State Jacobian (grad_Y, grad_Z) of the solution in the initial state.
 
-    Solves, by the same sweep engine, the linear delay BSDE with terminal
-    grad_g(X_T) grad_X_T h and driver
-    <grad f(t, Theta_base(t)), (conv(grad_X h), pdel, qdel)>, where the base
-    solution stays frozen inside the gradient coefficients.
+    Solves, by the same sweep engine and once for all state directions, the
+    linear delay BSDE with terminal grad_g(X_T) grad_X_T and driver
+    <grad f(t, Theta_base(t)), (conv(grad_X), pdel, qdel)>.  The base
+    solution stays frozen inside the gradient coefficients and in the
+    regression features (x, xdel and the base's ydel and zdel), so every
+    sweep fits the same designs: the stacks of the feature plan's later
+    sweeps, from sweep 1 on.
     """
     basis = basis or BasisSpec()
-    h = np.asarray(h, dtype=float)
     wx, wy, wz, xdel_all, plan = _solve_setup(problem, forward, basis)
-    ydel_base, zdel_base = (_convolve_nodes(w, _path_major(v))
-                            for w, v in ((wy, base.y), (wz, base.z)))
-    xdel_dir = _convolve_nodes(wx, np.einsum("pijk,k->ipj", forward.grad_x, h))
+    ydel_base, zdel_base, xdel_flow = (
+        _convolve_nodes(w, _path_major(v))
+        for w, v in ((wy, base.y), (wz, base.z), (wx, forward.grad_x)))
 
     driver = problem.driver
     args = (forward.grid[:, None], xdel_all, ydel_base, zdel_base)
-    const_all = np.einsum("jpmd,jpd->jpm", driver.grad_x(*args), xdel_dir)
+    const_all = np.einsum("jpmd,jpdk->jpmk", driver.grad_x(*args), xdel_flow)
     grad_y_all = driver.grad_y(*args)
     grad_z_all = driver.grad_z(*args)
 
     terminal_vals = np.einsum(
-        "pmd,pdk,k->pm", problem.terminal.grad(forward.x[:, -1]), forward.grad_x[:, -1], h
+        "pmd,pdk->pmk", problem.terminal.grad(forward.x[:, -1]), forward.grad_x[:, -1]
     )
 
     def driver_all(pdel_all, qdel_all):
-        out = const_all.copy()
-        out += np.einsum("jpmk,jpk->jpm", grad_y_all, pdel_all)
-        out += np.einsum("jpmkd,jpkd->jpm", grad_z_all, qdel_all)
-        return out
+        return (const_all + np.einsum("jpmk,jpkh->jpmh", grad_y_all, pdel_all)
+                + np.einsum("jpmkc,jpkhc->jpmh", grad_z_all, qdel_all))
 
+    # Centred per node, the base features span the same fits with the
+    # intercept, but the ridge no longer shrinks a constant target through
+    # columns close to it (a base control near 1, say).  The uncentred ones
+    # are not read again.
+    frozen = {"xdel": xdel_all, **{name: v - v.mean(axis=1, keepdims=True)
+                                   for name, v in (("ydel", ydel_base), ("zdel", zdel_base))}}
+    del args, ydel_base, zdel_base
     p, q, diffs_p, diffs_q, sweeps = _run_sweeps(
-        forward, terminal_vals, wy, wz, driver_all, xdel_all, plan, basis, max_sweeps, tol,
+        forward, terminal_vals, wy, wz, driver_all, frozen, plan[1:], basis, max_sweeps, tol,
     )
     return VariationalBundle(
-        direction=h, p=p, q=q,
-        diffs_p=diffs_p, diffs_q=diffs_q, sweeps=sweeps, tol=tol,
+        p=p, q=q, diffs_p=diffs_p, diffs_q=diffs_q, sweeps=sweeps, tol=tol,
     )
 
 
-def representation_z(forward, variationals, coeffs):
-    """Control process from the flow formula grad_Y (grad_X)^{-1} sigma.
-
-    variationals: one directional bundle per coordinate direction; their
-    value components form the columns of grad_Y.
-    """
-    dim = coeffs.dim
-    if len(variationals) != dim:
-        raise ValueError(f"need {dim} directional bundles, got {len(variationals)}")
-    for axis, bundle in enumerate(variationals):
-        expected = np.zeros(dim)
-        expected[axis] = 1.0
-        if not np.allclose(bundle.direction, expected):
-            raise ValueError("variational bundles must use the coordinate directions in order")
-    grad_y = np.stack([b.p for b in variationals], axis=-1)
+def representation_z(forward, variational, coeffs):
+    """Control process from the flow formula grad_Y (grad_X)^{-1} sigma."""
     sig = coeffs.diffusion(forward.grid, forward.x)
-    return np.einsum("pimd,pidk,pikl->piml", grad_y, forward.grad_x_inv, sig)
+    return np.einsum("pimd,pidk,pikl->piml", variational.p, forward.grad_x_inv, sig)
 
 
 @dataclass(frozen=True)
@@ -454,7 +471,8 @@ class FdReport:
     the same noise.  noise_floor repeats the measurement at a tiny step where
     the difference-quotient bias is negligible; richardson_error removes the
     first-order bias from the smallest step eps whose double 2 eps is also a
-    step, and is nan when no step has an exact double.
+    step, and is nan when no step has an exact double.  solves holds the
+    SolveStatus of every solve the check ran, in order.
     """
 
     epsilons: tuple
@@ -463,6 +481,7 @@ class FdReport:
     noise_floor: float
     noise_floor_se: float
     richardson_error: float
+    solves: tuple
 
 
 def _fd_error(diff, blocks=10):
@@ -493,29 +512,32 @@ def fd_directional_check(problem, h, epsilons, n_paths, n_steps, seed,
     grid = np.linspace(0.0, problem.horizon, n_steps + 1)
     forward = simulate_forward(problem.forward, problem.x0, grid, n_paths, seed)
     base = picard_solve(problem, forward, basis, max_sweeps, tol)
-    var = variational_solve(problem, forward, base, h, basis, max_sweeps, tol)
+    var = variational_solve(problem, forward, base, basis, max_sweeps, tol)
+    solves = [base.status("base solve"), var.status("derivative solve")]
+    grad_h = var.p @ h
 
-    def quotient(eps):
+    def quotient(eps, label):
         shifted = problem.with_x0(problem.x0 + eps * h)
         fwd = bundle_from_increments(shifted.forward, shifted.x0, grid, forward.dw)
         sol = picard_solve(shifted, fwd, basis, max_sweeps, tol)
+        solves.append(sol.status(f"{label} at eps {eps}"))
         return (sol.y - base.y) / eps
 
     errors, ses, quotients = [], [], {}
     for eps in epsilons:
-        fd = quotient(eps)
+        fd = quotient(eps, "shifted solve")
         quotients[eps] = fd
-        err, se = _fd_error(fd - var.p)
+        err, se = _fd_error(fd - grad_h)
         errors.append(err)
         ses.append(se)
-    floor_err, floor_se = _fd_error(quotient(FLOOR_EPSILON) - var.p)
+    floor_err, floor_se = _fd_error(quotient(FLOOR_EPSILON, "noise-floor solve") - grad_h)
 
     richardson = float("nan")
     # Doubling is exact in binary floating point, so 0.25 pairs with 0.5.
     for eps in sorted(epsilons):
         if 2 * eps in quotients:
             fd1, fd2 = quotients[eps], quotients[2 * eps]
-            richardson, _ = _fd_error((2 * fd1 - fd2) - var.p)
+            richardson, _ = _fd_error((2 * fd1 - fd2) - grad_h)
             break
     return FdReport(
         epsilons=tuple(float(e) for e in epsilons),
@@ -524,4 +546,5 @@ def fd_directional_check(problem, h, epsilons, n_paths, n_steps, seed,
         noise_floor=floor_err,
         noise_floor_se=floor_se,
         richardson_error=richardson,
+        solves=tuple(solves),
     )

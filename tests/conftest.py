@@ -39,8 +39,8 @@ def solve_with_derivative(prob, n_steps, n_paths, seed=SEED, tol=1e-3, sweeps=8)
     grid = np.linspace(0.0, HORIZON, n_steps + 1)
     fwd = simulate_forward(prob.forward, prob.x0, grid, n_paths, seed)
     sol = picard_solve(prob, fwd, BasisSpec(), sweeps, tol)
-    var = variational_solve(prob, fwd, sol, [1.0], BasisSpec(), sweeps, tol)
-    z_rep = representation_z(fwd, [var], prob.forward)
+    var = variational_solve(prob, fwd, sol, BasisSpec(), sweeps, tol)
+    z_rep = representation_z(fwd, var, prob.forward)
     return {"problem": prob, "forward": fwd, "solution": sol, "variational": var,
             "z_rep": z_rep}
 

@@ -80,3 +80,24 @@ def test_traced_simulation_reports_bundle_bytes():
     metrics = tracer.layer_metrics()
     assert metrics["forward.calls"] == 1
     assert metrics["forward.bundle_mb"] == sum(a.nbytes for a in arrays) / 1e6
+
+
+def test_traced_derivative_solve_reports_solver_metrics():
+    # the solve probe must read the Jacobian bundle of a 2-d state
+    zero = DelayMeasure(0.5)
+    problem = solver.DelayFbsdeProblem(
+        horizon=0.5, dim_x=2, dim_y=1, x0=[0.2, -0.1], forward=make_forward("brownian", {}, 2),
+        driver=make_driver("zero", {}, 2, 1), terminal=make_terminal("quadratic", {}, 2, 1),
+        alpha_x=zero, alpha_y=zero, alpha_z=zero,
+    )
+    forward = simulate_forward(problem.forward, problem.x0, np.linspace(0.0, 0.5, 9), 400, 1)
+    base = solver.picard_solve(problem, forward, max_sweeps=2)
+    tracer = _load_tracing().Tracer(rep=0)
+    try:
+        assert tracer.install() == []
+        solver.variational_solve(problem, forward, base, max_sweeps=2)
+    finally:
+        tracer.restore()
+    metrics = tracer.layer_metrics()
+    for name in ("solver.sweeps", "solver.conv_gflop"):
+        assert np.isfinite(metrics[name]) and metrics[name] > 0

@@ -257,15 +257,22 @@ class TestCliCommands:
         assert rows[0].startswith("epsilon,")
         assert len(rows) == 3
 
-    def test_variational_emits_per_direction_summary(self, tmp_path):
-        path = write_config(tmp_path, base_config())
+    @pytest.mark.parametrize("cfg, directions", [
+        (base_config(), ["0"] * 9),
+        # one Jacobian solve gives every state direction of a 2-d problem
+        (base_config(dim_x=2, forward={"preset": "brownian", "x0": [0.0, 0.0]},
+                     generator={"preset": "zero", "lipschitz": 0.0},
+                     terminal={"preset": "quadratic"}, delays={}), ["0"] * 9 + ["1"] * 9),
+    ])
+    def test_variational_emits_per_direction_summary(self, tmp_path, cfg, directions):
         out = tmp_path / "out"
-        assert main(["variational", "--config", path, "--out", str(out)]) == 0
+        assert main(["variational", "--config", write_config(tmp_path, cfg),
+                     "--out", str(out)]) == 0
         rows = (out / "variational.csv").read_text().splitlines()
         assert rows[0] == "t,direction,mean_dy,sd_dy,mean_dz,sd_dz"
-        assert len(rows) == 10
+        assert [row.split(",")[1] for row in rows[1:]] == directions
 
-    def test_truncated_variational_names_its_direction(self, tmp_path, capsys):
+    def test_truncated_variational_names_its_solves(self, tmp_path, capsys):
         cfg = base_config(dim_x=2, forward={"preset": "brownian", "x0": [0.0, 0.0]},
                           generator={"preset": "zero", "lipschitz": 0.0},
                           terminal={"preset": "quadratic"}, delays={})
@@ -273,13 +280,13 @@ class TestCliCommands:
         assert main(["variational", "--config", write_config(tmp_path, cfg), "--out", str(out),
                      "--picard", "1", "--tol", "1e-12"]) == 0
         printed = capsys.readouterr().out
-        assert printed.startswith("derivative sweeps per direction: [1, 1]; ")
-        for axis in (0, 1):
-            assert (f"direction {axis} stopped after 1 sweeps without converging "
+        assert printed.startswith("derivative sweeps: 1; ")
+        for label in ("base solve", "derivative solve"):
+            assert (f"; {label} stopped after 1 sweeps without converging "
                     "(last update ") in printed
         assert printed.count(">= tol 1e-12") == 2
 
-    def test_converged_variational_names_no_direction(self, tmp_path, capsys):
+    def test_converged_variational_names_no_solve(self, tmp_path, capsys):
         path = write_config(tmp_path, base_config())
         assert main(["variational", "--config", path, "--out", str(tmp_path / "out")]) == 0
         assert "stopped" not in capsys.readouterr().out
@@ -327,10 +334,17 @@ class TestCliCommands:
         assert "converged in" not in printed and "solved" not in printed
 
     @pytest.mark.parametrize("command, cfg, solves", [
-        ("compare-z", base_config(), ["base solve", "direction 0"]),
+        ("compare-z", base_config(), ["base solve", "derivative solve"]),
         ("study-picard", base_config(), ["base solve"]),
         ("study-yinc", base_config(), ["base solve"]),
-        ("study-l2reg", l2reg_config(meshes=[2, 4, 8]), ["base solve", "direction 0"]),
+        ("study-l2reg", l2reg_config(meshes=[2, 4, 8]), ["base solve", "derivative solve"]),
+        ("fd-check", base_config(), ["base solve", "derivative solve",
+                                     "shifted solve at eps 0.5", "shifted solve at eps 0.25",
+                                     "shifted solve at eps 0.125",
+                                     "noise-floor solve at eps 0.001"]),
+        ("study-apriori", base_config(), ["base solve", "shifted solve at eps 0.4",
+                                          "shifted solve at eps 0.2",
+                                          "shifted solve at eps 0.1"]),
     ])
     def test_truncated_solves_of_a_study_are_named(self, tmp_path, capsys, command, cfg,
                                                    solves):
@@ -347,6 +361,8 @@ class TestCliCommands:
         ("study-picard", base_config()),
         ("study-yinc", base_config()),
         ("study-l2reg", l2reg_config(meshes=[2, 4, 8])),
+        ("fd-check", base_config()),
+        ("study-apriori", base_config()),
     ])
     def test_converged_solves_of_a_study_are_not_named(self, tmp_path, capsys, command, cfg):
         out = tmp_path / "out"
@@ -361,6 +377,19 @@ class TestCliCommands:
         assert main(["fd-check", "--config", write_config(tmp_path, cfg),
                      "--out", str(out)]) == 0
         assert "richardson_error: nan\n" in (out / "verdict.txt").read_text()
+
+    @pytest.mark.parametrize("command, cfg", [
+        ("variational", base_config()),
+        ("compare-z", base_config()),
+        ("fd-check", base_config()),
+        ("study-l2reg", l2reg_config(meshes=[2, 4, 8])),
+    ])
+    def test_derivative_solve_runs_at_zero_ridge(self, tmp_path, command, cfg):
+        # the derivative solve fits on the base solution's delayed features,
+        # not on its own control, which is zero here up to fit residue
+        cfg["solver"]["basis"] = {"ridge": 0}
+        out = tmp_path / "out"
+        assert main([command, "--config", write_config(tmp_path, cfg), "--out", str(out)]) == 0
 
 
 class TestOverrideValidation:
@@ -403,6 +432,20 @@ class TestOverrideValidation:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["seed"] == 2**64 - 1
         assert manifest["overrides"] == {"paths": 80, "steps": 5, "picard": 2, "tol": 1e-12}
+
+    @pytest.mark.parametrize("command, cfg, flags, overrides", [
+        ("check-constants", base_config(), ["--beta-grid", "0.5:2:4", "--gamma-grid", "0.25:1:3"],
+         {"beta_grid": "0.5:2:4", "gamma_grid": "0.25:1:3"}),
+        ("check-constants", base_config(), ["--gamma-grid", "0.25:1:3"],
+         {"gamma_grid": "0.25:1:3"}),
+        ("study-l2reg", l2reg_config(meshes=[2, 4, 8]), ["--meshes", "4,8,16"],
+         {"meshes": [4, 8, 16]}),
+    ])
+    def test_manifest_records_every_flag_given(self, tmp_path, command, cfg, flags, overrides):
+        out = tmp_path / "out"
+        assert main([command, "--config", write_config(tmp_path, cfg), "--out", str(out),
+                     *flags]) == 0
+        assert json.loads((out / "manifest.json").read_text())["overrides"] == overrides
 
 
 

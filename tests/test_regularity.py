@@ -39,8 +39,8 @@ def solve_on(prob, n_steps, n_paths, seed=5, tol=1e-4, sweeps=8):
 
 def reference_control(prob, n_steps, n_paths, seed=5):
     fwd, sol = solve_on(prob, n_steps, n_paths, seed)
-    var = variational_solve(prob, fwd, sol, [1.0], BasisSpec(), 6, 1e-4)
-    return fwd, representation_z(fwd, [var], prob.forward)
+    var = variational_solve(prob, fwd, sol, BasisSpec(), 6, 1e-4)
+    return fwd, representation_z(fwd, var, prob.forward)
 
 
 class TestSlopeFit:

@@ -165,10 +165,10 @@ class TestPicardSolve:
         fwd, sol = solve(prob, n_steps=8, n_paths=500, sweeps=3, tol=1e-12)
         assert np.array_equal(sol.y[:, -1], prob.terminal.value(fwd.x[:, -1]))
         assert not sol.z[:, -1].any()
-        var = variational_solve(prob, fwd, sol, [1.0], BasisSpec(), 3, 1e-12)
+        var = variational_solve(prob, fwd, sol, BasisSpec(), 3, 1e-12)
         assert sol.sweeps == var.sweeps == 3
-        expected = np.einsum("pmd,pdk,k->pm", prob.terminal.grad(fwd.x[:, -1]),
-                             fwd.grad_x[:, -1], np.array([1.0]))
+        expected = np.einsum("pmd,pdk->pmk", prob.terminal.grad(fwd.x[:, -1]),
+                             fwd.grad_x[:, -1])
         assert np.array_equal(var.p[:, -1], expected)
         assert not var.q[:, -1].any()
 
@@ -377,7 +377,7 @@ class TestFeaturePlan:
         prob = self.compare_z_case()
         records = record_designs(monkeypatch, read)
         fwd, sol = solve(prob, n_steps=16, n_paths=400, sweeps=sweeps, tol=1e-12)
-        variational_solve(prob, fwd, sol, [1.0], BasisSpec(), sweeps, 1e-12)
+        variational_solve(prob, fwd, sol, BasisSpec(), sweeps, 1e-12)
         return prob, fwd, sol, records
 
     def test_node_zero_is_a_sample_mean(self, monkeypatch):
@@ -388,11 +388,16 @@ class TestFeaturePlan:
         assert np.all(sol.y[:, 0] == sol.y[0, 0]) and np.all(sol.z[:, 0] == sol.z[0, 0])
 
     def test_first_sweep_reads_no_delayed_solution(self, monkeypatch):
-        # sweep 1 fits on [1] and [1, x, x^2] alone; later sweeps add ydel and
-        # zdel from node 9 on
+        # the base solve's sweep 1 fits on [1] and [1, x, x^2] alone; later
+        # sweeps add ydel and zdel from node 9 on.  The derivative solve reads
+        # the base solution's ydel and zdel, so its sweep 1 already fits on
+        # the later-sweep stacks.
         prob, fwd, _, widths = self.run(monkeypatch, lambda design: design.shape[-1], sweeps=1)
-        assert set(widths) == {1, 3}
         first, later = solver_module._solve_setup(prob, fwd, BasisSpec())[-1]
+        base, derivative = widths[: len(first)], widths[len(first):]
+        assert set(base) == {1, 3}
+        assert derivative == [math.comb(len(names) + 2, 2) for _, _, names in later]
+        assert 10 in derivative
         assert {names for _, _, names in first} == {(), ("x",)}
         assert {names for lo, _, names in later if lo >= 9} == {("x", "ydel", "zdel")}
         assert {names for _, hi, names in later if hi <= 9} == {(), ("x",)}
@@ -421,7 +426,7 @@ class TestVariational:
     def test_identity_terminal_gives_unit_derivative(self):
         prob = problem(make_driver("zero"), make_terminal("identity"))
         fwd, sol = solve(prob, n_steps=10, n_paths=2000)
-        var = variational_solve(prob, fwd, sol, [1.0], BasisSpec(), 4, 1e-6)
+        var = variational_solve(prob, fwd, sol, BasisSpec(), 4, 1e-6)
         assert np.allclose(var.p, 1.0, atol=1e-6)
         assert np.allclose(var.q, 0.0, atol=1e-6)
 
@@ -432,35 +437,35 @@ class TestVariational:
             alpha_z=lag_atom(),
         )
         fwd, sol = solve(prob, n_steps=20, n_paths=4000)
-        var = variational_solve(prob, fwd, sol, [1.0], BasisSpec(), 6, 1e-6)
+        var = variational_solve(prob, fwd, sol, BasisSpec(), 6, 1e-6)
         assert np.allclose(var.p, 1.0, atol=1e-5)
 
     def test_quadratic_terminal_derivative_tracks_state(self):
         prob = problem(make_driver("zero"), make_terminal("quadratic"), x0=1.0)
         fwd, sol = solve(prob, n_steps=20, n_paths=10_000, seed=5)
-        var = variational_solve(prob, fwd, sol, [1.0], BasisSpec(), 4, 1e-6)
-        err = np.sqrt(np.mean((var.p[:, :, 0] - 2.0 * fwd.x[:, :, 0]) ** 2))
+        var = variational_solve(prob, fwd, sol, BasisSpec(), 4, 1e-6)
+        err = np.sqrt(np.mean((var.p[:, :, 0, 0] - 2.0 * fwd.x[:, :, 0]) ** 2))
         se = np.std(2.0 * fwd.x[:, -1, 0]) / np.sqrt(fwd.n_paths)
         assert err < 3 * se + 0.05
 
     def test_terminal_identity_of_derivative(self):
         prob = problem(make_driver("zero"), make_terminal("quadratic"), x0=0.5)
         fwd, sol = solve(prob, n_steps=10, n_paths=2000, seed=5)
-        var = variational_solve(prob, fwd, sol, [1.0], BasisSpec(), 4, 1e-6)
+        var = variational_solve(prob, fwd, sol, BasisSpec(), 4, 1e-6)
         expected = np.einsum(
-            "pmd,pdk,k->pm",
+            "pmd,pdk->pmk",
             prob.terminal.grad(fwd.x[:, -1]),
             fwd.grad_x[:, -1],
-            np.array([1.0]),
         )
+        assert var.p.shape == (fwd.n_paths, 11, 1, 1) and var.q.shape == (fwd.n_paths, 11, 1, 1, 1)
         assert np.allclose(var.p[:, -1], expected)
 
     def test_converged_follows_the_rule_of_the_base_solve(self):
         prob = problem(make_driver("linear_zdel", {"coeff": 0.1}), make_terminal("quadratic"),
                        alpha_z=lag_atom())
         fwd, sol = solve(prob, n_steps=8, n_paths=500)
-        cut = variational_solve(prob, fwd, sol, [1.0], BasisSpec(), 1, 1e-12)
-        done = variational_solve(prob, fwd, sol, [1.0], BasisSpec(), 8, 1e-3)
+        cut = variational_solve(prob, fwd, sol, BasisSpec(), 1, 1e-12)
+        done = variational_solve(prob, fwd, sol, BasisSpec(), 8, 1e-3)
         assert cut.tol == 1e-12 and not cut.converged
         assert cut.last_update == max(cut.diffs_p[0], cut.diffs_q[0])
         assert done.converged and done.sweeps < 8 and done.last_update < 1e-3
@@ -470,15 +475,15 @@ class TestRepresentation:
     def test_unit_control_for_identity_terminal(self):
         prob = problem(make_driver("zero"), make_terminal("identity"))
         fwd, sol = solve(prob, n_steps=10, n_paths=2000)
-        var = variational_solve(prob, fwd, sol, [1.0], BasisSpec(), 4, 1e-6)
-        z_rep = representation_z(fwd, [var], prob.forward)
+        var = variational_solve(prob, fwd, sol, BasisSpec(), 4, 1e-6)
+        z_rep = representation_z(fwd, var, prob.forward)
         assert np.allclose(z_rep, 1.0, atol=1e-6)
 
     def test_quadratic_terminal_control_is_twice_state(self):
         prob = problem(make_driver("zero"), make_terminal("quadratic"), x0=1.0)
         fwd, sol = solve(prob, n_steps=20, n_paths=10_000, seed=5)
-        var = variational_solve(prob, fwd, sol, [1.0], BasisSpec(), 4, 1e-6)
-        z_rep = representation_z(fwd, [var], prob.forward)
+        var = variational_solve(prob, fwd, sol, BasisSpec(), 4, 1e-6)
+        z_rep = representation_z(fwd, var, prob.forward)
         err = np.sqrt(np.mean((z_rep[:, :, 0, 0] - 2.0 * fwd.x[:, :, 0]) ** 2))
         assert err < 0.06
 
@@ -489,18 +494,12 @@ class TestRepresentation:
             alpha_z=lag_atom(),
         )
         fwd, sol = solve(prob, n_steps=20, n_paths=10_000, seed=5, tol=1e-3)
-        var = variational_solve(prob, fwd, sol, [1.0], BasisSpec(), 6, 1e-3)
-        z_rep = representation_z(fwd, [var], prob.forward)
+        var = variational_solve(prob, fwd, sol, BasisSpec(), 6, 1e-3)
+        z_rep = representation_z(fwd, var, prob.forward)
         for i in range(1, 20):
             num = np.sqrt(np.mean((sol.z[:, i] - z_rep[:, i]) ** 2))
             den = np.sqrt(np.mean(z_rep[:, i] ** 2))
             assert num / den <= 0.10
-
-    def test_wrong_direction_count_rejected(self):
-        prob = problem(make_driver("zero"), make_terminal("identity"))
-        fwd, sol = solve(prob, n_steps=6, n_paths=500)
-        with pytest.raises(ValueError, match="directional bundles"):
-            representation_z(fwd, [], prob.forward)
 
 
 class TestDelayedStateDriver:
@@ -535,13 +534,13 @@ class TestDelayedStateDriver:
         grid = np.linspace(0.0, self.T1, 21)
         fwd = simulate_forward(prob.forward, prob.x0, grid, n_paths, 5)
         sol = picard_solve(prob, fwd, BasisSpec(), 6, 1e-5)
-        var = variational_solve(prob, fwd, sol, [1.0], BasisSpec(), 6, 1e-5)
+        var = variational_solve(prob, fwd, sol, BasisSpec(), 6, 1e-5)
         return prob, grid, fwd, sol, var
 
     def test_state_derivative_matches_closed_form(self):
         prob, grid, fwd, sol, var = self.run()
         closed = 1.0 + self.CX * (self.T1 - np.maximum(grid, self.LAG))
-        assert np.abs(var.p[:, :, 0] - closed).max() < 1e-5
+        assert np.abs(var.p[:, :, 0, 0] - closed).max() < 1e-5
 
     def test_difference_quotient_is_exact_for_linear_problem(self):
         rep = fd_directional_check(self.fixture(), [1.0], [0.5, 0.25],
@@ -557,7 +556,7 @@ class TestDelayedStateDriver:
         rms_flow = np.sqrt(np.mean((z_mean - z_flow[1:-1]) ** 2))
         assert rms_true < 0.03
         assert rms_true < rms_flow
-        zr = representation_z(fwd, [var], prob.forward)
+        zr = representation_z(fwd, var, prob.forward)
         assert np.abs(zr[:, :, 0, 0] - z_flow).max() < 1e-5
 
 
@@ -580,11 +579,9 @@ class TestMultidimensional:
         assert rms.max() < 0.1
         z_cols = sol.z[:, 1:-1, 0, :].mean(axis=(0, 1))
         assert np.allclose(z_cols, 1.0, atol=0.05)
-        variationals = [
-            variational_solve(prob, fwd, sol, h, BasisSpec(), 4, 1e-6)
-            for h in ([1.0, 0.0], [0.0, 1.0])
-        ]
-        z_rep = representation_z(fwd, variationals, prob.forward)
+        var = variational_solve(prob, fwd, sol, BasisSpec(), 4, 1e-6)
+        assert np.allclose(var.p, 1.0, atol=1e-6)
+        z_rep = representation_z(fwd, var, prob.forward)
         assert np.allclose(z_rep, 1.0, atol=1e-6)
 
     def test_identity_terminal_with_matrix_control(self):
@@ -605,6 +602,25 @@ class TestMultidimensional:
         z_mean = sol.z[:, 1:-1].mean(axis=(0, 1))
         assert np.allclose(z_mean, np.eye(2), atol=0.05)
 
+    def test_jacobian_columns_follow_the_state_axes(self):
+        # g(x) = |x|^2 with Brownian X: grad_Y_t = 2 X_t^T, one column per state axis
+        zero = DelayMeasure(T)
+        prob = DelayFbsdeProblem(
+            horizon=T, dim_x=2, dim_y=1, x0=[0.2, -0.1],
+            forward=make_forward("brownian", {}, 2),
+            driver=make_driver("zero", {}, 2, 1),
+            terminal=make_terminal("quadratic", {}, 2, 1),
+            alpha_x=zero, alpha_y=zero, alpha_z=zero,
+            p=2.0, beta=1.0, gamma=0.5,
+        )
+        fwd = simulate_forward(prob.forward, prob.x0, np.linspace(0.0, T, 11), 4000, 7)
+        sol = picard_solve(prob, fwd, BasisSpec(), 4, 1e-6)
+        var = variational_solve(prob, fwd, sol, BasisSpec(), 4, 1e-6)
+        assert var.p.shape == (4000, 11, 1, 2) and var.q.shape == (4000, 11, 1, 2, 2)
+        for axis in (0, 1):
+            err = np.sqrt(np.mean((var.p[:, :, 0, axis] - 2.0 * fwd.x[:, :, axis]) ** 2))
+            assert err < 0.05
+
 
 class TestMultiplicativeNoiseOracle:
     def test_gbm_forward_closed_form(self):
@@ -621,8 +637,8 @@ class TestMultiplicativeNoiseOracle:
         grid = np.linspace(0.0, T, 21)
         fwd = simulate_forward(prob.forward, prob.x0, grid, 10_000, 5)
         sol = picard_solve(prob, fwd, BasisSpec(), 4, 1e-6)
-        var = variational_solve(prob, fwd, sol, [1.0], BasisSpec(), 4, 1e-6)
-        z_rep = representation_z(fwd, [var], prob.forward)
+        var = variational_solve(prob, fwd, sol, BasisSpec(), 4, 1e-6)
+        z_rep = representation_z(fwd, var, prob.forward)
         decay = np.exp(mu * (T - grid))
         y_true = fwd.x[:, :, 0] * decay
         z_true = nu * y_true
@@ -786,41 +802,41 @@ def per_node_picard(prob, fwd, basis, sweeps, tol):
         return out
 
     terminal_vals = prob.terminal.value(fwd.x[:, -1])
-    return solver_module._run_sweeps(fwd, terminal_vals, wy, wz, driver_all, xdel_all,
-                                     plan, basis, sweeps, tol)
+    return solver_module._run_sweeps(fwd, terminal_vals, wy, wz, driver_all,
+                                     {"xdel": xdel_all}, plan, basis, sweeps, tol)
 
 
-def per_node_variational(prob, fwd, base, h, basis, sweeps, tol):
+def per_node_variational(prob, fwd, base, basis, sweeps, tol):
     """variational_solve's sweeps with the driver gradients taken once per node below N."""
     wx, wy, wz, xdel_all, plan = solver_module._solve_setup(prob, fwd, basis)
     grid, n, m, d = fwd.grid, len(fwd.grid) - 1, prob.dim_y, prob.dim_x
-    ydel_base, zdel_base, xdel_dir = (
+    ydel_base, zdel_base, xdel_flow = (
         _convolve_nodes(w, np.moveaxis(v, 1, 0))
-        for w, v in ((wy, base.y), (wz, base.z),
-                     (wx, np.einsum("pijk,k->pij", fwd.grad_x, h))))
-    const = np.zeros((n + 1, fwd.n_paths, m))
+        for w, v in ((wy, base.y), (wz, base.z), (wx, fwd.grad_x)))
+    const = np.zeros((n + 1, fwd.n_paths, m, d))
     gy = np.zeros((n + 1, fwd.n_paths, m, m))
     gz = np.zeros((n + 1, fwd.n_paths, m, m, d))
     for j in range(n):
         args = (grid[j], xdel_all[j], ydel_base[j], zdel_base[j])
-        const[j] = np.einsum("pmd,pd->pm", prob.driver.grad_x(*args), xdel_dir[j])
+        const[j] = np.einsum("pmd,pdk->pmk", prob.driver.grad_x(*args), xdel_flow[j])
         gy[j] = prob.driver.grad_y(*args)
         gz[j] = prob.driver.grad_z(*args)
 
     def driver_all(pdel_all, qdel_all):
-        return (const + np.einsum("jpmk,jpk->jpm", gy, pdel_all)
-                + np.einsum("jpmkd,jpkd->jpm", gz, qdel_all))
+        return (const + np.einsum("jpmk,jpkh->jpmh", gy, pdel_all)
+                + np.einsum("jpmkc,jpkhc->jpmh", gz, qdel_all))
 
-    terminal_vals = np.einsum("pmd,pdk,k->pm", prob.terminal.grad(fwd.x[:, -1]),
-                              fwd.grad_x[:, -1], h)
-    return solver_module._run_sweeps(fwd, terminal_vals, wy, wz, driver_all, xdel_all,
-                                     plan, basis, sweeps, tol)
+    terminal_vals = np.einsum("pmd,pdk->pmk", prob.terminal.grad(fwd.x[:, -1]),
+                              fwd.grad_x[:, -1])
+    frozen = {"xdel": xdel_all, "ydel": ydel_base - ydel_base.mean(axis=1, keepdims=True),
+              "zdel": zdel_base - zdel_base.mean(axis=1, keepdims=True)}
+    return solver_module._run_sweeps(fwd, terminal_vals, wy, wz, driver_all, frozen,
+                                     plan[1:], basis, sweeps, tol)
 
 
-def per_node_representation(fwd, variationals, coeffs):
-    grad_y = np.stack([v.p for v in variationals], axis=-1)
+def per_node_representation(fwd, var, coeffs):
     return np.stack([
-        np.einsum("pmd,pdk,pkl->pml", grad_y[:, i], fwd.grad_x_inv[:, i],
+        np.einsum("pmd,pdk,pkl->pml", var.p[:, i], fwd.grad_x_inv[:, i],
                   coeffs.diffusion(fwd.grid[i], fwd.x[:, i]))
         for i in range(len(fwd.grid))
     ], axis=1)
@@ -866,14 +882,11 @@ class TestOneCallPerSolve:
         sol = picard_solve(prob, fwd, basis, 4, 1e-12)
         y, z, *_ = per_node_picard(prob, fwd, basis, 4, 1e-12)
         assert np.array_equal(sol.y, y) and np.array_equal(sol.z, z)
-        variationals = []
-        for h in np.eye(prob.dim_x):
-            var = variational_solve(prob, fwd, sol, h, basis, 4, 1e-12)
-            p, q, *_ = per_node_variational(prob, fwd, sol, h, basis, 4, 1e-12)
-            assert np.array_equal(var.p, p) and np.array_equal(var.q, q)
-            variationals.append(var)
-        z_rep = representation_z(fwd, variationals, prob.forward)
-        assert np.array_equal(z_rep, per_node_representation(fwd, variationals, prob.forward))
+        var = variational_solve(prob, fwd, sol, basis, 4, 1e-12)
+        p, q, *_ = per_node_variational(prob, fwd, sol, basis, 4, 1e-12)
+        assert np.array_equal(var.p, p) and np.array_equal(var.q, q)
+        z_rep = representation_z(fwd, var, prob.forward)
+        assert np.array_equal(z_rep, per_node_representation(fwd, var, prob.forward))
 
 
 class TestNodeBlocks:
@@ -900,7 +913,7 @@ class TestNodeBlocks:
         grid = np.linspace(0.0, T, 13)
         fwd = simulate_forward(prob.forward, prob.x0, grid, 400, 3)
         sol = picard_solve(prob, fwd, basis, 3, 1e-12)
-        var = variational_solve(prob, fwd, sol, [1.0], basis, 3, 1e-12)
+        var = variational_solve(prob, fwd, sol, basis, 3, 1e-12)
         return sol, var
 
     @pytest.mark.parametrize("case", ["all_delays_case", "brownian_2d_case"])
