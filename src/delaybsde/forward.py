@@ -134,7 +134,9 @@ class ForwardBundle:
 
     dw: (M, N, d) Brownian increments; x: (M, N+1, d); grad_x: (M, N+1, d, d).
     grad_x at node 0 is the identity and x at node 0 equals the initial state
-    on every path.
+    on every path.  Simulated bundles hold these as views of node-major
+    memory, so the node slices the solver reads are contiguous; any layout
+    gives the same results.
     """
 
     grid: np.ndarray
@@ -186,7 +188,11 @@ def brownian_increments(grid, n_paths, dim, seed):
 
 
 def euler_paths(coeffs, x0, grid, dw):
-    """Euler scheme for the state and its first-variation flow, shared noise."""
+    """Euler scheme for the state and its first-variation flow, shared noise.
+
+    Returns x (M, N+1, d) and the flow (M, N+1, d, d) as path-major views of
+    node-major arrays.
+    """
     grid = np.asarray(grid, dtype=float)
     x0 = np.asarray(x0, dtype=float)
     n_paths, n, dim = dw.shape
@@ -194,23 +200,23 @@ def euler_paths(coeffs, x0, grid, dw):
         raise ValueError("dimension mismatch between coefficients, x0 and increments")
     if n != len(grid) - 1:
         raise ValueError(f"increments have {n} steps but the grid has {len(grid) - 1}")
-    x = np.empty((n_paths, n + 1, dim))
-    grad = np.empty((n_paths, n + 1, dim, dim))
-    x[:, 0] = x0
-    grad[:, 0] = np.eye(dim)
+    # Node-major buffers: each step reads and writes contiguous rows.
+    x = np.empty((n + 1, n_paths, dim))
+    grad = np.empty((n + 1, n_paths, dim, dim))
+    x[0] = x0
+    grad[0] = np.eye(dim)
     for i in range(n):
         t, dt = grid[i], grid[i + 1] - grid[i]
-        xi = x[:, i]
-        gi = grad[:, i]
+        xi, gi, dwi = x[i], grad[i], dw[:, i]
         sig = coeffs.diffusion(t, xi)
-        x[:, i + 1] = xi + coeffs.drift(t, xi) * dt + np.einsum("pjk,pk->pj", sig, dw[:, i])
+        x[i + 1] = xi + coeffs.drift(t, xi) * dt + np.einsum("pjk,pk->pj", sig, dwi)
         gsig = coeffs.grad_diffusion(t, xi)
-        grad[:, i + 1] = (
+        grad[i + 1] = (
             gi
             + np.einsum("pjl,plm->pjm", coeffs.grad_drift(t, xi), gi) * dt
-            + np.einsum("pjkl,plm,pk->pjm", gsig, gi, dw[:, i])
+            + np.einsum("pjkl,plm,pk->pjm", gsig, gi, dwi)
         )
-    return x, grad
+    return np.moveaxis(x, 0, 1), np.moveaxis(grad, 0, 1)
 
 
 def bundle_from_increments(coeffs, x0, grid, dw):
@@ -232,5 +238,7 @@ def simulate_forward(coeffs, x0, grid, n_paths, seed):
     if n_paths < 1:
         raise ValueError("need at least one path")
     dw = brownian_increments(grid, n_paths, coeffs.dim, seed)
+    # One transpose into node-major memory, read back as an (M, N, d) view.
+    dw = np.moveaxis(np.ascontiguousarray(np.moveaxis(dw, 1, 0)), 0, 1)
     return bundle_from_increments(coeffs, x0, grid, dw)
 

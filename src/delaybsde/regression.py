@@ -70,23 +70,37 @@ def _exponents(n_features, degree):
     return exps
 
 
-def expand_features(features, degree):
+def expand_features(features, degree, shape=None):
     """Monomial designs of all total degrees <= degree, intercept first.
 
-    features: (..., M, n_features) with any leading batch shape.  Columns are
-    filled as contiguous rows of the transpose, so each returned (M, k)
-    design is Fortran-ordered, and a stack of them is the axis swap of one
-    C-ordered (..., k, M) array.
+    features: (..., M, n_features) with any leading batch shape; or, with
+    shape = (..., M) given, a sequence of feature blocks, each read as an
+    array shape + (n_b,) (trailing axes flattened) and all of them as their
+    concatenation along the last axis; no block gives the intercept alone.
+    Each column is written once, as a contiguous row of the transpose, with
+    its powers multiplied in feature order, so each returned (M, k) design is
+    Fortran-ordered, and a stack of them is the axis swap of one C-ordered
+    (..., k, M) array.
     """
-    features = np.asarray(features, dtype=float)
-    *batch, m, n_feat = features.shape
-    exps = _exponents(n_feat, degree)
-    columns = np.moveaxis(features, -1, 0)
-    design = np.ones((*batch, len(exps), m))
-    for col, exp in enumerate(exps):
-        for j, power in enumerate(exp):
-            if power:
-                design[..., col, :] *= columns[j] ** power
+    if shape is None:
+        features = np.asarray(features, dtype=float)
+        shape, features = features.shape[:-1], [features]
+    columns = [column for block in features
+               for column in np.moveaxis(np.reshape(block, (*shape, -1)), -1, 0)]
+    exps = _exponents(len(columns), degree)
+    design = np.empty((*shape[:-1], len(exps), shape[-1]))
+    design[..., 0, :] = 1.0
+    for col, exp in enumerate(exps[1:], 1):
+        out = design[..., col, :]
+        (first, power), *rest = [(columns[j], p) for j, p in enumerate(exp) if p]
+        if power == 1:
+            np.copyto(out, first)
+        elif power == 2:
+            np.multiply(first, first, out=out)
+        else:
+            np.power(first, power, out=out)
+        for column, power in rest:
+            out *= column if power == 1 else column**power
     return np.swapaxes(design, -1, -2)
 
 
@@ -99,10 +113,12 @@ class DesignSolver:
     lambda = ridge * trace(X^T X) / k per design.  The Gram matrices are
     factored by one stacked Cholesky; every call to solve() reuses the
     factors, so a block of sweep nodes pays one factorization for both the
-    value and the control regressions.
+    value and the control regressions.  factor, the `factor` of a solver of
+    a bitwise-equal design, skips the Gram matrix, its checks and its
+    factorization: a design rebuilt in every sweep is factored once.
     """
 
-    def __init__(self, design, ridge=1e-8):
+    def __init__(self, design, ridge=1e-8, factor=None):
         design = np.asarray(design, dtype=float)
         m, k = design.shape[-2:]
         if k > max(1, m // 10):
@@ -111,6 +127,9 @@ class DesignSolver:
                 "the fit would be underdetermined"
             )
         self.design = design
+        if factor is not None:
+            self.penalty, self._factor = factor
+            return
         gram = np.swapaxes(design, -1, -2) @ design
         self.penalty = ridge * np.trace(gram, axis1=-2, axis2=-1) / k
         if ridge == 0.0 and not self._full_rank.all():
@@ -132,6 +151,11 @@ class DesignSolver:
                 f"ridge Gram matrix{self._where(failed)} is not positive definite at "
                 f"ridge {ridge}; set a larger ridge"
             ) from None
+
+    @property
+    def factor(self):
+        """The ridge penalty and Cholesky factor, without the design."""
+        return self.penalty, self._factor
 
     @staticmethod
     def _where(failed):

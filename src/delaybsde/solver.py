@@ -306,7 +306,10 @@ def _run_sweeps(forward, terminal_vals, wy, wz, driver_all, frozen, basis_plan, 
     _feature_plan per sweep, the last one repeated, as (lo, hi, live
     features) read at nodes lo..hi-1.  The iterate is node-major, and each
     sweep walks its stacks backward from the terminal node with one stacked
-    fit per stack, on the stack's live features only.  Sweeps stop once the
+    fit per stack, on the stack's live features only.  A stack whose live
+    features are all sweep-invariant (x and the frozen ones) keeps the
+    factor of its first fit, and later sweeps rebuild only its design, which
+    is bitwise equal; no design outlives its stack.  Sweeps stop once the
     max-node RMS update of both components drops below tol.  Returns
     path-major (M, N+1, ...) arrays.
     """
@@ -323,6 +326,10 @@ def _run_sweeps(forward, terminal_vals, wy, wz, driver_all, frozen, basis_plan, 
     z = np.zeros((*y.shape, dim_ctrl))
     diffs_y, diffs_z = [], []
     sweeps = 0
+    # Factors of the stacks that read only sweep-invariant features, whose
+    # designs are bitwise equal in every sweep: built once, never the design.
+    invariant = {"x", *frozen}
+    factors = {}
     for _ in range(max_sweeps):
         ydel_all, zdel_all = _convolve_nodes(wy, y), _convolve_nodes(wz, z)
         f_all = driver_all(ydel_all, zdel_all)
@@ -333,14 +340,12 @@ def _run_sweeps(forward, terminal_vals, wy, wz, driver_all, frozen, basis_plan, 
         z_new = np.empty_like(z)
         y_new[n] = terminal_vals
         z_new[n] = 0.0
-        for lo, hi, names in basis_plan[min(sweeps, len(basis_plan) - 1)]:
-            feats = np.concatenate(
-                [named[name][lo:hi].reshape(hi - lo, m_paths, -1) for name in names],
-                axis=-1,
-            ) if names else np.empty((hi - lo, m_paths, 0))
-            design = expand_features(feats, basis.degree)
+        for stack in basis_plan[min(sweeps, len(basis_plan) - 1)]:
+            lo, hi, names = stack
+            design = expand_features([named[name][lo:hi] for name in names], basis.degree,
+                                     (hi - lo, m_paths))
             try:
-                solver = DesignSolver(design, basis.ridge)
+                solver = DesignSolver(design, basis.ridge, factors.get(stack))
             except ValueError:
                 # A stacked factorization fails for the whole stack: refit the
                 # stack's nodes one by one, from the top, to name the node.
@@ -352,6 +357,8 @@ def _run_sweeps(forward, terminal_vals, wy, wz, driver_all, frozen, basis_plan, 
                             f"regression failed at node {i}, sweep {sweeps + 1}: {exc}"
                         ) from exc
                 raise
+            if invariant.issuperset(names):
+                factors[stack] = solver.factor
             coeff_y = solver.solve(suffix[lo:hi].reshape(hi - lo, m_paths, -1))
             y_new[lo:hi] = solver.fitted(coeff_y).reshape(y_new[lo:hi].shape)
             step = steps[lo:hi]
@@ -359,6 +366,7 @@ def _run_sweeps(forward, terminal_vals, wy, wz, driver_all, frozen, basis_plan, 
             ctrl_target = innovation[..., None] * dw_steps[lo:hi] / step[..., None]
             coeff_z = solver.solve(ctrl_target.reshape(hi - lo, m_paths, -1))
             z_new[lo:hi] = solver.fitted(coeff_z).reshape(z_new[lo:hi].shape)
+            del design, solver
         # The old iterate is not read again: its buffers take the updates.
         with np.errstate(over="ignore", invalid="ignore"):
             diff_y = _max_rms(_node_squares(np.subtract(y_new, y, out=y)))

@@ -78,6 +78,23 @@ class TestExpansion:
         design = expand_features(feats, degree)
         assert np.array_equal(design, column_builder(feats, degree))
 
+    @pytest.mark.parametrize("degree", [0, 1, 2, 3])
+    def test_feature_blocks_equal_column_builder(self, degree):
+        # blocks of widths 1, 2 x 2 (flattened) and 1 over a stack of 3
+        # nodes, read as their concatenation
+        rng = np.random.default_rng(degree)
+        blocks = [rng.normal(size=(3, 257, 1)), rng.normal(size=(3, 257, 2, 2)),
+                  rng.normal(size=(3, 257))[..., None]]
+        design = expand_features(blocks, degree, (3, 257))
+        feats = np.concatenate([b.reshape(3, 257, -1) for b in blocks], axis=-1)
+        assert np.array_equal(design, expand_features(feats, degree))
+        for node in range(3):
+            assert np.array_equal(design[node], column_builder(feats[node], degree))
+
+    def test_no_block_gives_the_intercept(self):
+        design = expand_features([], 2, (4, 50))
+        assert design.shape == (4, 50, 1) and np.all(design == 1.0)
+
     def test_columns_are_contiguous(self):
         design = expand_features(np.ones((50, 2)), 2)
         assert design.T.flags.c_contiguous
@@ -184,6 +201,17 @@ class TestStackedSolver:
             assert np.array_equal(coeffs[i], single.solve(targets[i]))
             assert np.array_equal(fitted[i], single.fitted(coeffs[i]))
             assert single.penalty == stacked.penalty[i]
+
+    def test_kept_factor_gives_the_same_fit_without_factoring(self, monkeypatch):
+        designs = expand_features(_stack_features(), 2)
+        targets = np.random.default_rng(5).normal(size=(4, 700, 2))
+        first = DesignSolver(designs)
+        monkeypatch.setattr(np.linalg, "cholesky", None)
+        again = DesignSolver(designs.copy(order="K"), factor=first.factor)
+        coeffs = again.solve(targets)
+        assert np.array_equal(coeffs, first.solve(targets))
+        assert np.array_equal(again.fitted(coeffs), first.fitted(coeffs))
+        assert np.array_equal(again.penalty, first.penalty)
 
     def test_any_leading_batch_shape(self):
         feats = _stack_features().reshape(2, 2, 700, 3)

@@ -345,12 +345,17 @@ class TestFeatureSelection:
 
 
 def record_designs(monkeypatch, read):
-    """Replace the solver's DesignSolver by one that records read(design) per fit."""
+    """Replace the solver's DesignSolver by one that records read(design) per construction.
+
+    A stack of sweep-invariant features is constructed in every sweep, from
+    the second fit on with the factor of its first, so the records hold
+    every stack of every sweep.
+    """
     records = []
 
-    def recording(design, ridge):
+    def recording(design, ridge, factor=None):
         records.append(read(design))
-        return DesignSolver(design, ridge)
+        return DesignSolver(design, ridge, factor)
 
     monkeypatch.setattr(solver_module, "DesignSolver", recording)
     return records
@@ -956,3 +961,126 @@ class TestNodeBlocks:
                                              "rank-deficient design with zero ridge"):
             solve(prob, n_steps=8, n_paths=400,
                   basis=BasisSpec(features=features, ridge=0.0), sweeps=2)
+
+
+def path_major_copy(fwd):
+    """The bundle's arrays as path-major contiguous copies."""
+    return forward_module.ForwardBundle(
+        grid=fwd.grid, **{name: np.ascontiguousarray(getattr(fwd, name))
+                          for name in ("dw", "x", "grad_x")})
+
+
+class TestBundleLayout:
+    """Simulated bundles hold node-major memory, which moves no output bit."""
+
+    CASES = ["gbm_case", "brownian_2d_case"]
+
+    @staticmethod
+    def case(name):
+        prob, basis = getattr(TestOneCallPerSolve(), name)()
+        fwd = simulate_forward(prob.forward, prob.x0, np.linspace(0.0, T, 11), 400, 3)
+        return prob, basis, fwd
+
+    @pytest.mark.parametrize("name", CASES)
+    def test_node_slices_are_contiguous(self, name):
+        *_, fwd = self.case(name)
+        for array in (fwd.x, fwd.dw, fwd.grad_x):
+            assert np.moveaxis(array, 0, 1).flags.c_contiguous
+
+    @pytest.mark.parametrize("name", CASES)
+    def test_solves_equal_on_a_path_major_copy(self, name):
+        prob, basis, fwd = self.case(name)
+        copy = path_major_copy(fwd)
+        assert copy.x.flags.c_contiguous and np.array_equal(copy.x, fwd.x)
+        sols = [picard_solve(prob, bundle, basis, 4, 1e-12) for bundle in (fwd, copy)]
+        assert np.array_equal(sols[0].y, sols[1].y) and np.array_equal(sols[0].z, sols[1].z)
+        assert sols[0].diffs_y == sols[1].diffs_y and sols[0].diffs_z == sols[1].diffs_z
+        vars_ = [variational_solve(prob, bundle, sol, basis, 4, 1e-12)
+                 for bundle, sol in zip((fwd, copy), sols)]
+        assert np.array_equal(vars_[0].p, vars_[1].p) and np.array_equal(vars_[0].q, vars_[1].q)
+        assert vars_[0].diffs_p == vars_[1].diffs_p and vars_[0].diffs_q == vars_[1].diffs_q
+        z_reps = [representation_z(bundle, var, prob.forward)
+                  for bundle, var in zip((fwd, copy), vars_)]
+        assert np.array_equal(z_reps[0], z_reps[1])
+
+    @pytest.mark.parametrize("name", CASES)
+    def test_fd_check_equals_on_a_path_major_copy(self, monkeypatch, name):
+        prob, basis, _ = self.case(name)
+        args = (prob, [1.0] * prob.dim_x, [0.5, 0.25], 400, 10, 3, basis, 4, 1e-12)
+        node_major = fd_directional_check(*args)
+
+        def simulate_path_major(*sim_args):
+            return path_major_copy(simulate_forward(*sim_args))
+
+        monkeypatch.setattr(solver_module, "simulate_forward", simulate_path_major)
+        path_major = fd_directional_check(*args)
+        assert repr(path_major) == repr(node_major)
+
+
+class TestOncePerSolveFactors:
+    """Stacks of sweep-invariant features are factored once per solve."""
+
+    @staticmethod
+    def count_factorizations(monkeypatch):
+        calls = []
+        cholesky = np.linalg.cholesky
+
+        def counted(a):
+            calls.append(np.shape(a))
+            return cholesky(a)
+
+        monkeypatch.setattr(np.linalg, "cholesky", counted)
+        return calls
+
+    @pytest.mark.parametrize("case", ["gbm_case", "brownian_2d_case"])
+    @pytest.mark.parametrize("sweeps", [1, 2, 5])
+    def test_derivative_solve_factors_each_stack_once(self, monkeypatch, case, sweeps):
+        prob, basis, fwd = TestBundleLayout.case(case)
+        sol = picard_solve(prob, fwd, basis, 4, 1e-12)
+        calls = self.count_factorizations(monkeypatch)
+        var = variational_solve(prob, fwd, sol, basis, sweeps, 1e-15)
+        assert var.sweeps == sweeps
+        later = solver_module._solve_setup(prob, fwd, basis)[-1][1]
+        assert len(calls) == len(later)
+
+    def test_base_solve_reuses_the_invariant_stacks_of_sweep_one(self, monkeypatch):
+        # sweep 1 factors every stack; later sweeps factor only the stacks
+        # that read the iterate's ydel or zdel
+        prob, basis, fwd = TestBundleLayout.case("gbm_case")
+        first, later = solver_module._solve_setup(prob, fwd, basis)[-1]
+        calls = self.count_factorizations(monkeypatch)
+        picard_solve(prob, fwd, basis, 3, 1e-15)
+        new_in_sweep_two = [s for s in later if s not in first]
+        iterate_reading = [s for s in later if {"ydel", "zdel"} & set(s[2])]
+        assert iterate_reading and any(s in first for s in later)
+        assert len(calls) == len(first) + len(new_in_sweep_two) + len(iterate_reading)
+
+    def test_rebuilt_designs_are_bitwise_equal_across_sweeps(self, monkeypatch):
+        prob, basis, fwd = TestBundleLayout.case("gbm_case")
+        sol = picard_solve(prob, fwd, basis, 4, 1e-12)
+        records = record_designs(monkeypatch, lambda design: design.copy())
+        variational_solve(prob, fwd, sol, basis, 3, 1e-15)
+        later = solver_module._solve_setup(prob, fwd, basis)[-1][1]
+        sweeps = [records[i: i + len(later)] for i in range(0, len(records), len(later))]
+        assert len(sweeps) == 3
+        for designs in sweeps[1:]:
+            assert all(np.array_equal(a, b) for a, b in zip(designs, sweeps[0], strict=True))
+
+    def test_no_design_outlives_its_stack(self, monkeypatch):
+        # every design is freed before the next stack builds its own; the
+        # solve keeps the factors alone
+        import weakref
+
+        prob, basis, fwd = TestBundleLayout.case("gbm_case")
+        refs, alive = [], []
+
+        def recording(design, ridge, factor=None):
+            alive.append(sum(ref() is not None for ref in refs))
+            refs.append(weakref.ref(design))
+            return DesignSolver(design, ridge, factor)
+
+        monkeypatch.setattr(solver_module, "DesignSolver", recording)
+        sol = picard_solve(prob, fwd, basis, 3, 1e-15)
+        variational_solve(prob, fwd, sol, basis, 3, 1e-15)
+        assert len(refs) > 3 and not any(alive)
+        assert all(ref() is None for ref in refs)
