@@ -205,6 +205,16 @@ def _unconverged(solves):
                    if not status.converged)
 
 
+def _convergence(solves):
+    """verdict.txt keys of each solve status: its sweeps, whether it converged, its last update."""
+    verdict = {}
+    for status in solves:
+        key = status.label.replace(" ", "_").replace("-", "_")
+        verdict.update({f"{key}_sweeps": status.sweeps, f"{key}_converged": status.converged,
+                        f"{key}_last_update": status.last_update})
+    return verdict
+
+
 def _jacobian(problem, settings, forward, solution):
     """The derivative solve of the base solution, and the statuses of both."""
     var = variational_solve(problem, forward, solution,
@@ -260,7 +270,7 @@ def cmd_fd_check(args, cfg):
     )
     rows = zip(report.epsilons, report.errors, report.block_ses)
     verdict = {"noise_floor": report.noise_floor, "noise_floor_se": report.noise_floor_se,
-               "richardson_error": report.richardson_error}
+               "richardson_error": report.richardson_error, **_convergence(report.solves)}
     return ({"fd_check.csv": (["epsilon", "error", "block_se"], rows)}, verdict,
             f"fd errors: {report.errors}; noise floor {report.noise_floor:.4g}"
             f"{_unconverged(report.solves)}")
@@ -275,11 +285,12 @@ def cmd_study_picard(args, cfg):
         rows.append([k + 1, dy, dz, ratio])
     contracting = all(row[3] < 1 for row in rows[2:] if np.isfinite(row[3]))
     feas = solution.feasibility or {}
+    solves = [solution.status("base solve")]
     verdict = {"ratios_below_one_after_sweep_2": contracting,
-               "feasible_l2": bool(feas.get("l2", False))}
+               "feasible_l2": bool(feas.get("l2", False)), **_convergence(solves)}
     return ({"picard.csv": (["sweep", "diff_y", "diff_z", "ratio"], rows)}, verdict,
             f"sweep diffs: {diffs}; contracting after sweep 2: {contracting}"
-            f"{_unconverged([solution.status('base solve')])}")
+            f"{_unconverged(solves)}")
 
 
 def _separations(cfg, args):
@@ -307,10 +318,11 @@ def _separations(cfg, args):
 def _rate_outputs(name, header, report, what, solves):
     """Table, verdict and line of a rate study: fitted slope against the paper's target.
 
-    The line names each of the solve statuses that did not converge.
+    The verdict holds the convergence of each solve status, and the line
+    names each one that did not converge.
     """
     verdict = {"target_slope": report.target_slope, "fitted_slope": report.slope,
-               "pass": report.passed}
+               "pass": report.passed, **_convergence(solves)}
     return ({name: (header, zip(report.sizes, report.values))}, verdict,
             f"{what} slope: {report.slope:.3f} (target {report.target_slope})"
             f"{_unconverged(solves)}")
@@ -377,7 +389,8 @@ def cmd_study_apriori(args, cfg):
                report.rhs_terminal, report.rhs_driver, report.ratios)
     header = ["epsilon", "s_norm", "h_norm_y", "h_norm_z", "rhs_terminal", "rhs_driver", "ratio"]
     spread = (max(report.ratios) - min(report.ratios)) / min(report.ratios)
-    return ({"apriori.csv": (header, rows)}, {"ratio_spread": float(spread)},
+    return ({"apriori.csv": (header, rows)},
+            {"ratio_spread": float(spread), **_convergence(report.solves)},
             f"stability ratios: {report.ratios}; spread {spread:.3g}"
             f"{_unconverged(report.solves)}")
 

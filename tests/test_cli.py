@@ -32,6 +32,11 @@ def base_config(**overrides):
     return cfg
 
 
+def read_verdict(out):
+    """verdict.txt as {key: value text}, in file order."""
+    return dict(line.split(": ", 1) for line in (out / "verdict.txt").read_text().splitlines())
+
+
 def l2reg_config(**study):
     cfg = base_config()
     cfg["study"] = {"reference_steps": 16, **study}
@@ -368,6 +373,40 @@ class TestCliCommands:
         out = tmp_path / "out"
         assert main([command, "--config", write_config(tmp_path, cfg), "--out", str(out)]) == 0
         assert "stopped" not in capsys.readouterr().out
+        verdict = read_verdict(out)
+        converged = {k: v for k, v in verdict.items() if k.endswith("_converged")}
+        assert converged and set(converged.values()) == {"true"}
+
+    VERDICT_SOLVES = {
+        "study-picard": ["base_solve"],
+        "study-yinc": ["base_solve"],
+        "study-l2reg": ["base_solve", "derivative_solve"],
+        "fd-check": ["base_solve", "derivative_solve", "shifted_solve_at_eps_0.5",
+                     "shifted_solve_at_eps_0.25", "shifted_solve_at_eps_0.125",
+                     "noise_floor_solve_at_eps_0.001"],
+        "study-apriori": ["base_solve", "shifted_solve_at_eps_0.4", "shifted_solve_at_eps_0.2",
+                          "shifted_solve_at_eps_0.1"],
+    }
+
+    @pytest.mark.parametrize("command, cfg", [
+        ("study-picard", base_config()),
+        ("study-yinc", base_config()),
+        ("study-l2reg", l2reg_config(meshes=[2, 4, 8])),
+        ("fd-check", base_config()),
+        ("study-apriori", base_config()),
+    ])
+    def test_truncated_solves_are_in_the_verdict(self, tmp_path, command, cfg):
+        # the convergence keys sit beside the verdict and leave its pass rule alone
+        out = tmp_path / "out"
+        assert main([command, "--config", write_config(tmp_path, cfg), "--out", str(out),
+                     "--picard", "1"]) == 0
+        verdict = read_verdict(out)
+        solves = self.VERDICT_SOLVES[command]
+        assert [k[: -len("_sweeps")] for k in verdict if k.endswith("_sweeps")] == solves
+        for key in solves:
+            assert verdict[f"{key}_sweeps"] == "1"
+            assert verdict[f"{key}_converged"] == "false"
+            assert float(verdict[f"{key}_last_update"]) >= 1e-3
 
     def test_fd_check_near_pair_has_no_richardson_error(self, tmp_path):
         # 0.2000000000005 is not the exact double of 0.1, so no step pairs
