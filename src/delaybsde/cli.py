@@ -34,6 +34,7 @@ from . import __version__
 from .config import ConfigError, build_problem, load_config, solver_settings, validate_flag
 from .constants import best_feasible, constants_report
 from .regularity import (
+    ROUNDING_LEVEL,
     STATE_BASIS,
     apriori_scaling,
     l2_regularity,
@@ -319,12 +320,17 @@ def _rate_outputs(name, header, report, what, solves):
     """Table, verdict and line of a rate study: fitted slope against the paper's target.
 
     The verdict holds the convergence of each solve status, and the line
-    names each one that did not converge.
+    names each one that did not converge.  A rate that was not measured
+    (functionals at rounding level) says so in both.
     """
     verdict = {"target_slope": report.target_slope, "fitted_slope": report.slope,
-               "pass": report.passed, **_convergence(solves)}
+               "rate_measured": report.measured, "pass": report.passed,
+               **_convergence(solves)}
+    slope = f"{report.slope:.3f}" if report.measured else (
+        f"not measured, every functional is at most {ROUNDING_LEVEL:g} of the "
+        f"reference control's mean square {report.scale:.3g}")
     return ({name: (header, zip(report.sizes, report.values))}, verdict,
-            f"{what} slope: {report.slope:.3f} (target {report.target_slope})"
+            f"{what} slope: {slope} (target {report.target_slope})"
             f"{_unconverged(solves)}")
 
 

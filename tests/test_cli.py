@@ -310,7 +310,24 @@ class TestCliCommands:
         rows = (out / "l2reg.csv").read_text().splitlines()
         assert rows[0] == "mesh_size,functional"
         assert len(rows) == 4
-        assert "fitted_slope" in (out / "verdict.txt").read_text()
+        verdict = read_verdict(out)
+        assert verdict["rate_measured"] == "true" and float(verdict["fitted_slope"]) > 0
+
+    def test_study_l2reg_on_a_deterministic_control_measures_no_rate(self, tmp_path, capsys):
+        # the flow-formula control of the linear delayed-control driver is 1 on
+        # every path, so every functional sits at rounding level
+        out = tmp_path / "out"
+        assert main(["study-l2reg", "--config", str(CONFIGS / "delayed_control.json"),
+                     "--paths", "2000", "--seed", "3", "--out", str(out)]) == 0
+        verdict = read_verdict(out)
+        assert verdict["rate_measured"] == "false" and verdict["pass"] == "false"
+        assert verdict["fitted_slope"] == "nan"
+        values = [float(row.split(",")[1])
+                  for row in (out / "l2reg.csv").read_text().splitlines()[1:]]
+        assert len(values) == 4 and max(values) < 1e-12
+        assert capsys.readouterr().out.startswith(
+            "regularity slope: not measured, every functional is at most 1e-12 of the "
+            "reference control's mean square 0.5 (target 1.0)")
 
     def test_fd_check_runs(self, tmp_path):
         cfg = base_config()

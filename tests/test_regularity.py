@@ -121,6 +121,21 @@ class TestL2Regularity:
         ]
         assert max(values) < 1e-3
 
+    def test_constant_control_measures_no_rate(self):
+        prob = make_problem(
+            make_driver("linear_zdel", {"coeff": 0.1, "lipschitz": 0.1}),
+            make_terminal("identity"),
+            alpha_z=DelayMeasure(T, atoms=((-0.25, 1.0),)),
+        )
+        fwd, z_ref = reference_control(prob, 40, 1000)
+        report = l2_regularity(fwd, z_ref, [5, 10, 20])
+        assert not report.measured and not report.passed
+        assert np.isnan(report.slope) and report.scale == pytest.approx(T, rel=1e-6)
+        assert max(report.values) <= regularity.ROUNDING_LEVEL * report.scale
+        # a state-dependent control of the same size is measured
+        report = l2_regularity(fwd, z_ref + 0.1 * fwd.x[..., None], [5, 10, 20])
+        assert report.measured and np.isfinite(report.slope)
+
     def test_first_cell_is_fitted_on_the_intercept_alone(self, monkeypatch):
         # every path starts at x0, so the first cell's projection is a sample
         # mean, well posed even at zero ridge; the other cells share one stack
