@@ -1,4 +1,5 @@
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -1069,8 +1070,6 @@ class TestOncePerSolveFactors:
     def test_no_design_outlives_its_stack(self, monkeypatch):
         # every design is freed before the next stack builds its own; the
         # solve keeps the factors alone
-        import weakref
-
         prob, basis, fwd = TestBundleLayout.case("gbm_case")
         refs, alive = [], []
 
