@@ -2,16 +2,17 @@
 
 Configs are data-only trees; every coefficient is a preset name plus
 parameters, so the preset registries remain the sole source of code.  The
-schema rejects unknown keys before any computation runs.
+schema rejects unknown keys before any computation runs.  It is checked by
+_schema_errors, a Draft-7 subset with jsonschema's error order and wording.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import numbers
 
 import numpy as np
-from jsonschema import Draft7Validator
 
 from .generators import make_driver, make_terminal
 from .forward import make_forward
@@ -158,7 +159,116 @@ CONFIG_SCHEMA = {
     "additionalProperties": False,
 }
 
-_VALIDATOR = Draft7Validator(CONFIG_SCHEMA)
+_TYPES = {
+    "object": lambda v: isinstance(v, dict),
+    "array": lambda v: isinstance(v, list),
+    "string": lambda v: isinstance(v, str),
+    "number": lambda v: isinstance(v, numbers.Number) and not isinstance(v, bool),
+    "integer": lambda v: not isinstance(v, bool) and (
+        isinstance(v, int) or isinstance(v, float) and v.is_integer()),
+}
+_TRUE, _FALSE = object(), object()
+
+
+def _unbool(v):
+    """Keep True apart from 1 and False from 0 under == and sorting."""
+    return _TRUE if v is True else _FALSE if v is False else v
+
+
+def _equal(a, b):
+    """JSON equality: 1 == 1.0, but True != 1, recursively in lists and objects."""
+    if a is b or isinstance(a, str) or isinstance(b, str):
+        return a is b or a == b
+    if isinstance(a, list) and isinstance(b, list):
+        return len(a) == len(b) and all(map(_equal, a, b))
+    if isinstance(a, dict) and isinstance(b, dict):
+        return len(a) == len(b) and all(k in b and _equal(v, b[k]) for k, v in a.items())
+    return _unbool(a) == _unbool(b)
+
+
+def _unique(items):
+    """Sort and compare neighbours; items that do not sort are compared pairwise."""
+    try:
+        ordered = sorted(map(_unbool, items))
+        return not any(map(_equal, ordered, ordered[1:]))
+    except TypeError:
+        seen = []
+        for item in map(_unbool, items):
+            if any(_equal(other, item) for other in seen):
+                return False
+            seen.append(item)
+        return True
+
+
+def _schema_errors(schema, value, path=()):
+    """Yield (path, message) for each rule of schema that value breaks.
+
+    Covers the Draft-7 keywords CONFIG_SCHEMA uses, in schema order and with
+    jsonschema's messages, so a first error is the one jsonschema reports.
+    """
+    is_list, is_dict, is_number = (isinstance(value, list), isinstance(value, dict),
+                                   _TYPES["number"](value))
+    for key, rule in schema.items():
+        if key == "type":
+            if not _TYPES[rule](value):
+                yield path, f"{value!r} is not of type {rule!r}"
+        elif key == "properties":
+            for name, sub in rule.items() if is_dict else ():
+                if name in value:
+                    yield from _schema_errors(sub, value[name], path + (name,))
+        elif key == "required":
+            for name in rule if is_dict else ():
+                if name not in value:
+                    yield path, f"{name!r} is a required property"
+        elif key == "additionalProperties":
+            known = schema.get("properties", {})
+            extras = sorted({k for k in value if k not in known} if is_dict else ())
+            if extras and rule is False:
+                verb = "was" if len(extras) == 1 else "were"
+                yield path, (f"Additional properties are not allowed "
+                             f"({', '.join(map(repr, extras))} {verb} unexpected)")
+        elif key == "items":
+            if is_list:
+                subs = rule if isinstance(rule, list) else [rule] * len(value)
+                for index, (item, sub) in enumerate(zip(value, subs)):
+                    yield from _schema_errors(sub, item, path + (index,))
+        elif key == "minItems":
+            if is_list and len(value) < rule:
+                short = "should be non-empty" if rule == 1 else "is too short"
+                yield path, f"{value!r} {short}"
+        elif key == "maxItems":
+            if is_list and len(value) > rule:
+                yield path, f"{value!r} is too long"
+        elif key == "uniqueItems":
+            if rule and is_list and not _unique(value):
+                yield path, f"{value!r} has non-unique elements"
+        elif key == "minimum":
+            if is_number and value < rule:
+                yield path, f"{value!r} is less than the minimum of {rule!r}"
+        elif key == "maximum":
+            if is_number and value > rule:
+                yield path, f"{value!r} is greater than the maximum of {rule!r}"
+        elif key == "exclusiveMinimum":
+            if is_number and value <= rule:
+                yield path, f"{value!r} is less than or equal to the minimum of {rule!r}"
+        elif key == "enum":
+            if not any(_equal(each, value) for each in rule):
+                yield path, f"{value!r} is not one of {rule!r}"
+        elif key == "const":
+            if not _equal(value, rule):
+                yield path, f"{rule!r} was expected"
+        elif key == "not":
+            if not any(_schema_errors(rule, value)):
+                yield path, f"{value!r} should not be valid under {rule!r}"
+        elif key == "oneOf":
+            valid = [sub for sub in rule if not any(_schema_errors(sub, value))]
+            if not valid:
+                yield path, f"{value!r} is not valid under any of the given schemas"
+            elif len(valid) > 1:
+                reprs = ", ".join(map(repr, valid[1:] + valid[:1]))
+                yield path, f"{value!r} is valid under each of {reprs}"
+        else:
+            raise KeyError(f"schema keyword {key!r} is not supported")
 
 
 def _check_finite(node, where):
@@ -174,11 +284,10 @@ def _check_finite(node, where):
 
 def validate_config(cfg):
     _check_finite(cfg, "")
-    errors = sorted(_VALIDATOR.iter_errors(cfg), key=lambda e: list(e.absolute_path))
-    if errors:
-        err = errors[0]
-        where = "/".join(str(part) for part in err.absolute_path) or "<root>"
-        raise ConfigError(f"config invalid at {where}: {err.message}")
+    err = min(_schema_errors(CONFIG_SCHEMA, cfg), key=lambda e: e[0], default=None)
+    if err is not None:
+        where = "/".join(map(str, err[0])) or "<root>"
+        raise ConfigError(f"config invalid at {where}: {err[1]}")
 
 
 _SOLVER_RULES = CONFIG_SCHEMA["properties"]["solver"]["properties"]
@@ -196,9 +305,9 @@ def validate_flag(key, value, source):
     for item in value if isinstance(value, list) else [value]:
         if isinstance(item, float) and not math.isfinite(item):
             raise ConfigError(f"{source}: {item} is not a finite number")
-    err = next(Draft7Validator(_FLAG_RULES[key]).iter_errors(value), None)
+    err = next(_schema_errors(_FLAG_RULES[key], value), None)
     if err is not None:
-        raise ConfigError(f"{source}: {err.message}")
+        raise ConfigError(f"{source}: {err[1]}")
 
 
 def load_config(path):
