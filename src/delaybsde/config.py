@@ -323,7 +323,10 @@ def load_config(path):
 
 def _measure_from(cfg, key, horizon):
     entries = cfg.get("delays", {}).get(key, [])
-    return DelayMeasure.from_literal(horizon, entries)
+    try:
+        return DelayMeasure.from_literal(horizon, entries)
+    except ValueError as exc:
+        raise ConfigError(f"delays/{key}: {exc}") from exc
 
 
 def _preset_params(section):

@@ -674,6 +674,23 @@ def test_failed_run_writes_nothing(tmp_path, capsys, command, break_config, code
     assert not out.exists()
 
 
+@pytest.mark.parametrize("entry, message", [
+    ({"atom": [-2.0, 1]}, "atom location -2.0 outside [-0.5, 0)"),
+    ({"atom": [-0.25, -1.0]}, "atom weights must be nonnegative"),
+    ({"density": [-0.1, -0.3, 1.0]}, "density interval [-0.1, -0.3) outside [-0.5, 0)"),
+    ({"density": [-0.3, -0.1, -1.0]}, "density levels must be nonnegative"),
+])
+@pytest.mark.parametrize("command", ["check-constants", "solve", "compare-z"])
+def test_bad_delay_measure_exits_2_before_writing(tmp_path, capsys, command, entry, message):
+    # the schema admits these entries; the measure rejects them as input errors
+    cfg = json.loads((CONFIGS / "brownian_baseline.json").read_text())
+    cfg["delays"] = {"alpha_y": [entry]}
+    out = tmp_path / "out"
+    assert main([command, "--config", write_config(tmp_path, cfg), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"config error: delays/alpha_y: {message}\n"
+    assert not out.exists()
+
+
 def test_compare_z_solves_once_through_the_module_attribute(tmp_path, monkeypatch):
     # the benchmark captures the base solution by replacing cli.picard_solve
     solutions = []
