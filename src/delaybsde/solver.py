@@ -284,12 +284,8 @@ def _node_squares(update):
 
 
 def _max_rms(squares):
-    """Largest RMS over paths of node-major (N+1, M) squares.
-
-    The mean runs over a path-major copy, so paths are summed in the same
-    order as for a path-major iterate.
-    """
-    return float(np.max(np.sqrt(np.mean(np.ascontiguousarray(squares.T), axis=0))))
+    """Largest RMS over paths of node-major (N+1, M) squares, one mean per node row."""
+    return float(np.max(np.sqrt(np.mean(squares, axis=1))))
 
 
 def _run_sweeps(forward, terminal_vals, wy, wz, driver_all, frozen, basis_plan, basis,

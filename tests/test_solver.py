@@ -317,6 +317,13 @@ class TestPicardSolve:
         assert np.array_equal(squares, summed)
         assert solver_module._max_rms(squares) == solver_module._max_rms(summed)
 
+    def test_max_rms_equals_the_exact_node_loop(self):
+        # the row means sum in numpy's order: equal to an exactly rounded
+        # sum up to float64 rounding over 12 000 paths
+        squares = np.random.default_rng(7).exponential(size=(41, 12_000))
+        loop = max(math.sqrt(math.fsum(row) / len(row)) for row in squares)
+        assert solver_module._max_rms(squares) == pytest.approx(loop, rel=1e-12, abs=0)
+
 
 class TestFeatureSelection:
     @pytest.mark.parametrize("features, expected", [
