@@ -187,7 +187,10 @@ def _equal(a, b):
 
 
 def _unique(items):
-    """Sort and compare neighbours; items that do not sort are compared pairwise."""
+    """jsonschema's uniqueness rule, quirks included.
+
+    Sort and compare neighbours, or compare every pair when the items do not sort.
+    """
     try:
         ordered = sorted(map(_unbool, items))
         return not any(map(_equal, ordered, ordered[1:]))

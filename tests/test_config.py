@@ -118,11 +118,6 @@ def test_same_errors_as_jsonschema(cfg):
     assert_same_errors(cfg)
 
 
-def test_shipped_configs_are_valid():
-    for cfg in SHIPPED.values():
-        assert list(_schema_errors(CONFIG_SCHEMA, cfg)) == []
-
-
 # Values that sit on the checker's edges: bools against numbers, integral
 # floats against integers, signed zeros, empty and repeated arrays, the
 # measure entries that match none or both branches of the oneOf.
@@ -200,12 +195,13 @@ def test_every_subschema_gives_the_same_errors_on_edge_values():
                 where, value)
 
 
-@pytest.mark.parametrize("key", sorted(_FLAG_RULES))
-@pytest.mark.parametrize("value", EDGES, ids=repr)
-def test_flag_rules_give_the_same_first_error(key, value):
-    reference = reference_errors(value, Draft7Validator(_FLAG_RULES[key]))
-    expected = f"--flag: {reference[0][1]}" if reference else None
-    assert raised(validate_flag, key, value, "--flag") == expected
+def test_flag_rules_give_the_same_first_error_on_edge_values():
+    for key, rule in _FLAG_RULES.items():
+        reference = Draft7Validator(rule)
+        for value in EDGES:
+            errors = reference_errors(value, reference)
+            expected = f"--flag: {errors[0][1]}" if errors else None
+            assert raised(validate_flag, key, value, "--flag") == expected, (key, value)
 
 
 def test_unsupported_keyword_is_refused():
